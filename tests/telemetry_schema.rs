@@ -8,7 +8,8 @@
 use serde_json::Value;
 use tahoe::engine::{Engine, EngineOptions};
 use tahoe::strategy::testutil::Fixture;
-use tahoe::telemetry::{MetricsSnapshot, TelemetrySink};
+use tahoe::telemetry::decision::RequestPathRecord;
+use tahoe::telemetry::{timeseries, MetricsSnapshot, TelemetrySink, PID_GPU, PID_SERVING};
 use tahoe_gpu_sim::device::DeviceSpec;
 
 /// Runs one engine batch against a recording sink and returns it.
@@ -121,4 +122,165 @@ fn metrics_snapshot_round_trips_through_serde() {
         doc["span_count"].as_u64(),
         Some(snapshot.span_count as u64)
     );
+}
+
+/// A hand-built recording covering every event kind the Chrome trace
+/// exports: named processes, out-of-order spans on two tracks, strings that
+/// need escaping, a non-finite duration, an integral timestamp, a counter
+/// track next to an excluded `memo_*` series, and one request path.
+fn golden_sink() -> TelemetrySink {
+    let sink = TelemetrySink::recording();
+    sink.name_process(PID_GPU, "gpu-sim");
+    sink.name_process(PID_SERVING, "serving \"q\" \\ \u{1}");
+    sink.span("late", PID_GPU, 1, 2_500.0, 1_000.0);
+    sink.span("block \"7\" \\ \t", PID_GPU, 0, 1_000.0, 250.5);
+    sink.span("parent", PID_GPU, 0, 0.0, 3_000.0);
+    sink.span("child", PID_GPU, 0, 0.0, 1_500.0);
+    sink.span("broken", PID_GPU, 1, 1_000.0, f64::NAN);
+    sink.ts_gauge(0, timeseries::QUEUE_DEPTH, 1_500_000.0, 2.0);
+    sink.ts_add(0, timeseries::MEMO_HITS, 10.0, 7.0);
+    sink.push_request_path(RequestPathRecord {
+        request: 3,
+        batch: 0,
+        device: 1,
+        arrival_ns: 150.0,
+        form_ns: 50.0,
+        queue_ns: 25.0,
+        execute_ns: 1_000.0,
+        reduction_ns: 100.0,
+        total_ns: 1_075.0,
+    });
+    sink
+}
+
+/// The byte contract of the Chrome-trace export for [`golden_sink`]. The
+/// text was produced by the original exporter, which built a
+/// `serde_json::Value` tree and pretty-printed it; every exporter must
+/// reproduce it exactly.
+const GOLDEN_TRACE: &str = r#"{
+  "traceEvents": [
+    {
+      "ph": "M",
+      "ts": 0,
+      "pid": 1,
+      "tid": 0,
+      "name": "process_name",
+      "args": {
+        "name": "gpu-sim"
+      }
+    },
+    {
+      "ph": "M",
+      "ts": 0,
+      "pid": 3,
+      "tid": 0,
+      "name": "process_name",
+      "args": {
+        "name": "serving \"q\" \\ \u0001"
+      }
+    },
+    {
+      "ph": "X",
+      "ts": 0,
+      "dur": 3,
+      "pid": 1,
+      "tid": 0,
+      "name": "parent"
+    },
+    {
+      "ph": "X",
+      "ts": 0,
+      "dur": 1.5,
+      "pid": 1,
+      "tid": 0,
+      "name": "child"
+    },
+    {
+      "ph": "X",
+      "ts": 1,
+      "dur": 0.2505,
+      "pid": 1,
+      "tid": 0,
+      "name": "block \"7\" \\ \t"
+    },
+    {
+      "ph": "X",
+      "ts": 1,
+      "dur": null,
+      "pid": 1,
+      "tid": 1,
+      "name": "broken"
+    },
+    {
+      "ph": "X",
+      "ts": 2.5,
+      "dur": 1,
+      "pid": 1,
+      "tid": 1,
+      "name": "late"
+    },
+    {
+      "ph": "C",
+      "ts": 1000,
+      "pid": 1,
+      "tid": 0,
+      "name": "queue_depth",
+      "args": {
+        "value": 2
+      }
+    },
+    {
+      "ph": "b",
+      "cat": "request",
+      "id": 3,
+      "ts": 0.15,
+      "pid": 3,
+      "tid": 0,
+      "name": "request 3"
+    },
+    {
+      "ph": "e",
+      "cat": "request",
+      "id": 3,
+      "ts": 1.225,
+      "pid": 3,
+      "tid": 0,
+      "name": "request 3"
+    },
+    {
+      "ph": "s",
+      "id": 3,
+      "ts": 0.15,
+      "pid": 3,
+      "tid": 0,
+      "name": "request path"
+    },
+    {
+      "ph": "f",
+      "bp": "e",
+      "id": 3,
+      "ts": 0.225,
+      "pid": 13,
+      "tid": 2,
+      "name": "request path"
+    }
+  ],
+  "displayTimeUnit": "ns"
+}
+"#;
+
+#[test]
+fn chrome_trace_matches_the_golden_bytes() {
+    let text = golden_sink().chrome_trace_json();
+    assert_eq!(text, GOLDEN_TRACE);
+}
+
+#[test]
+fn disabled_sink_exports_the_golden_empty_trace() {
+    let text = TelemetrySink::Disabled.chrome_trace_json();
+    assert_eq!(text, r#"{
+  "traceEvents": [],
+  "displayTimeUnit": "ns"
+}
+"#);
 }
