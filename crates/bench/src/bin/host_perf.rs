@@ -19,7 +19,10 @@
 //! same for the tuning-decision cache (DESIGN.md §2.16): repeated identical
 //! batches with the cache off vs on, exiting non-zero when the hit rate
 //! drops to 90% or below — a repeated batch must hit on every launch after
-//! the first. A final spot check pins
+//! the first. An export phase serves a higgs trace into a recording sink
+//! and times the two largest telemetry exports (DESIGN.md §2.9), exiting
+//! non-zero when writing the Chrome trace takes longer than the recorded
+//! serve it exports. A final spot check pins
 //! `TelemetrySink::Disabled` as a strict no-op for the windowed time-series
 //! sampler (DESIGN.md §2.14) — the timed phases assume telemetry-off costs
 //! nothing.
@@ -29,6 +32,7 @@ use std::time::Instant;
 use serde::Serialize;
 
 use tahoe::engine::{Engine, EngineOptions};
+use tahoe::serving::{BatchingPolicy, ServingSim};
 use tahoe::strategy::Strategy;
 use tahoe::telemetry::TelemetrySink;
 use tahoe::tune::set_tune_cache;
@@ -91,6 +95,16 @@ struct HostSimBench {
     tuning_cache_misses: u64,
     /// `tuning_cache_hits / (tuning_cache_hits + tuning_cache_misses)`.
     tuning_cache_hit_rate: f64,
+    /// Requests in the export phase's recorded serve (higgs, one P100).
+    export_serve_requests: usize,
+    /// Wall milliseconds of that recorded serve (the trace-export bound).
+    export_serve_ms: f64,
+    /// Wall milliseconds of `chrome_trace_json` on the recorded serve.
+    trace_export_ms: f64,
+    /// Bytes of that Chrome trace.
+    trace_bytes: usize,
+    /// Wall milliseconds of `decisions_json` on the recorded serve.
+    decisions_export_ms: f64,
 }
 
 /// Tiles the first `m` rows of the inference split (`m` = largest power of
@@ -265,6 +279,48 @@ fn main() {
         if tune_warm_s > 0.0 { tune_cold_s / tune_warm_s } else { 1.0 }
     );
 
+    // Export phase (DESIGN.md §2.9): a recorded 16 384-request higgs serve
+    // at 325 ns between arrivals, then its two largest exports. Exporting
+    // must stay cheaper than the serve it records.
+    let export_p = prepared
+        .iter()
+        .find(|p| p.spec.name == "higgs")
+        .expect("higgs is a Table 2 dataset");
+    let export_serve_requests = 16_384;
+    let sink = TelemetrySink::recording();
+    let mut engine = Engine::with_telemetry(
+        DeviceSpec::tesla_p100(),
+        export_p.forest.clone(),
+        EngineOptions::tahoe(),
+        sink.clone(),
+    );
+    let t0 = Instant::now();
+    let _ = ServingSim::new(&mut engine, BatchingPolicy::low_latency()).run_uniform_trace(
+        &export_p.infer.samples,
+        export_serve_requests,
+        325.0,
+    );
+    let export_serve_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let t0 = Instant::now();
+    let trace_bytes = sink.chrome_trace_json().len();
+    let trace_export_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let t0 = Instant::now();
+    let _ = sink.decisions_json();
+    let decisions_export_ms = t0.elapsed().as_secs_f64() * 1e3;
+    println!(
+        "[host_perf] recorded serve ({export_serve_requests} requests): {export_serve_ms:.1} ms; \
+         trace export {trace_export_ms:.1} ms ({:.1} MB); decisions export \
+         {decisions_export_ms:.1} ms",
+        trace_bytes as f64 / 1e6
+    );
+    if trace_export_ms > export_serve_ms {
+        eprintln!(
+            "[host_perf] FAIL: exporting the Chrome trace took {trace_export_ms:.1} ms, \
+             longer than the {export_serve_ms:.1} ms recorded serve it exports"
+        );
+        std::process::exit(1);
+    }
+
     // Disabled-sink spot check (DESIGN.md §2.14): the timed phases above run
     // with telemetry off and rely on the windowed sampler being a strict
     // no-op — nothing recorded, nothing exported. A regression here would
@@ -318,6 +374,11 @@ fn main() {
         tuning_cache_hits,
         tuning_cache_misses,
         tuning_cache_hit_rate,
+        export_serve_requests,
+        export_serve_ms,
+        trace_export_ms,
+        trace_bytes,
+        decisions_export_ms,
     };
     println!(
         "[host_perf] speedup {:.2}x with {} workers on {} host cores",

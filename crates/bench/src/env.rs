@@ -1,5 +1,6 @@
 //! Experiment environment: CLI flags shared by every binary.
 
+use std::io::Write as _;
 use std::path::PathBuf;
 
 use tahoe::telemetry::TelemetrySink;
@@ -133,8 +134,12 @@ impl Env {
     /// Panics when an output path cannot be written.
     pub fn export_telemetry(&self) {
         if let Some(path) = &self.trace {
-            std::fs::write(path, self.sink.chrome_trace_json())
-                .unwrap_or_else(|e| panic!("cannot write trace {}: {e}", path.display()));
+            let write = || -> std::io::Result<()> {
+                let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
+                self.sink.write_chrome_trace(&mut w)?;
+                w.flush()
+            };
+            write().unwrap_or_else(|e| panic!("cannot write trace {}: {e}", path.display()));
             eprintln!("wrote Chrome trace to {}", path.display());
         }
         if let Some(path) = &self.metrics {

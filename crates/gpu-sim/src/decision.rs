@@ -114,40 +114,10 @@ pub struct RequestPathRecord {
     pub total_ns: f64,
 }
 
-/// Flight-recorder state shared behind a recording sink (one per
-/// `telemetry::SinkInner`).
-#[derive(Debug, Default)]
-pub struct DecisionStore {
-    decisions: Vec<DecisionRecord>,
-    requests: Vec<RequestPathRecord>,
-}
-
-impl DecisionStore {
-    /// Appends a device sink's records, re-tagging their device-local index
-    /// 0 to the cluster-wide `device_idx`. Callers (the cluster absorb path)
-    /// must invoke this in device-index order so the merged export is
-    /// deterministic.
-    pub(crate) fn merge_from(&mut self, other: DecisionStore, device_idx: usize) {
-        self.decisions.extend(other.decisions.into_iter().map(|mut d| {
-            d.device += device_idx as u32;
-            d
-        }));
-        self.requests.extend(other.requests.into_iter().map(|mut r| {
-            r.device += device_idx as u32;
-            r
-        }));
-    }
-
-    fn export(&self) -> DecisionsExport {
-        DecisionsExport {
-            decisions: self.decisions.clone(),
-            requests: self.requests.clone(),
-        }
-    }
-}
-
-/// The full flight-recorder export — the `--decisions <path>` payload.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+/// The full flight-recorder export — the `--decisions <path>` payload. A
+/// recording sink accumulates straight into one, so the export serializes
+/// the recorded store itself.
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct DecisionsExport {
     /// One record per engine tuning event, in launch order (device-major
     /// after a cluster merge).
@@ -158,6 +128,21 @@ pub struct DecisionsExport {
 }
 
 impl DecisionsExport {
+    /// Appends a device sink's records, re-tagging their device-local index
+    /// 0 to the cluster-wide `device_idx`. Callers (the cluster absorb path)
+    /// must invoke this in device-index order so the merged export is
+    /// deterministic.
+    pub(crate) fn merge_from(&mut self, other: DecisionsExport, device_idx: usize) {
+        self.decisions.extend(other.decisions.into_iter().map(|mut d| {
+            d.device += device_idx as u32;
+            d
+        }));
+        self.requests.extend(other.requests.into_iter().map(|mut r| {
+            r.device += device_idx as u32;
+            r
+        }));
+    }
+
     /// Parses an export previously written by
     /// [`TelemetrySink::decisions_json`] (e.g. a `--decisions <path>` file).
     ///
@@ -191,8 +176,8 @@ impl TelemetrySink {
     #[must_use]
     pub fn decisions(&self) -> DecisionsExport {
         match self {
-            TelemetrySink::Disabled => DecisionStore::default().export(),
-            TelemetrySink::Recording(inner) => inner.decisions.lock().export(),
+            TelemetrySink::Disabled => DecisionsExport::default(),
+            TelemetrySink::Recording(inner) => inner.decisions.lock().clone(),
         }
     }
 
@@ -205,8 +190,11 @@ impl TelemetrySink {
     /// serializes.
     #[must_use]
     pub fn decisions_json(&self) -> String {
-        let mut s =
-            serde_json::to_string_pretty(&self.decisions()).expect("decisions serialize");
+        let mut s = match self {
+            TelemetrySink::Disabled => serde_json::to_string_pretty(&DecisionsExport::default()),
+            TelemetrySink::Recording(inner) => serde_json::to_string_pretty(&*inner.decisions.lock()),
+        }
+        .expect("decisions serialize");
         s.push('\n');
         s
     }
@@ -285,8 +273,8 @@ mod tests {
 
     #[test]
     fn merge_retags_the_device_local_index() {
-        let mut cluster = DecisionStore::default();
-        let mut dev = DecisionStore::default();
+        let mut cluster = DecisionsExport::default();
+        let mut dev = DecisionsExport::default();
         dev.decisions.push(decision(0));
         dev.requests.push(request(0));
         cluster.merge_from(dev, 2);
@@ -294,7 +282,7 @@ mod tests {
         assert_eq!(cluster.requests[0].device, 2);
         // A cluster-recorded request (explicit device) merges unchanged at
         // index 0.
-        let mut explicit = DecisionStore::default();
+        let mut explicit = DecisionsExport::default();
         explicit.requests.push(request(1));
         cluster.merge_from(explicit, 0);
         assert_eq!(cluster.requests[1].device, 1);

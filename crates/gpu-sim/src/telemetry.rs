@@ -34,6 +34,8 @@
 //! run to run; they live on their own process track.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
+use std::io::{self, Write};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -347,7 +349,7 @@ pub struct SinkInner {
     pub(crate) timeseries: Mutex<crate::timeseries::TimeSeriesStore>,
     /// Tuning decisions and per-request critical paths; the recording
     /// methods live in [`crate::decision`].
-    pub(crate) decisions: Mutex<crate::decision::DecisionStore>,
+    pub(crate) decisions: Mutex<crate::decision::DecisionsExport>,
 }
 
 /// Telemetry recording handle.
@@ -543,7 +545,7 @@ impl TelemetrySink {
         s
     }
 
-    /// Exports the recorded spans as Chrome trace-event JSON (the
+    /// Writes the recorded spans to `w` as Chrome trace-event JSON (the
     /// `--trace <path>` payload), loadable in Perfetto / `chrome://tracing`.
     ///
     /// Events are stably ordered by `(pid, tid, ts, −dur)`, so timestamps are
@@ -565,118 +567,200 @@ impl TelemetrySink {
     /// into the executing device's batch-execute track. Pure functions of
     /// the recorded [`crate::decision::RequestPathRecord`]s, so the same
     /// byte-identity guarantee applies.
+    ///
+    /// The text is written event by event straight from the recorded stores:
+    /// spans are sorted as references under the span lock, nothing is
+    /// cloned, and no `serde_json::Value` tree is built. The layout and
+    /// number rules are exactly those of `serde_json::to_string_pretty`
+    /// (`tests/telemetry_schema.rs` pins the bytes).
+    ///
+    /// # Errors
+    ///
+    /// Returns the writer's error.
+    pub fn write_chrome_trace(&self, w: &mut impl Write) -> io::Result<()> {
+        w.write_all(b"{\n  \"traceEvents\": [")?;
+        let mut events = TraceEvents {
+            out: &mut *w,
+            buf: String::with_capacity(256),
+            any: false,
+        };
+        if let TelemetrySink::Recording(inner) = self {
+            let timeseries = self.timeseries();
+            {
+                // Same lock order as `absorb_device`: spans, then names.
+                let spans = inner.spans.lock();
+                let mut sorted: Vec<&SpanEvent> = spans.iter().collect();
+                sorted.sort_by(|a, b| {
+                    (a.pid, a.tid)
+                        .cmp(&(b.pid, b.tid))
+                        .then(a.start_ns.total_cmp(&b.start_ns))
+                        .then(b.dur_ns.total_cmp(&a.dur_ns))
+                });
+                for (pid, name) in inner.process_names.lock().iter() {
+                    events
+                        .begin("M")
+                        .num("ts", 0.0)
+                        .uint("pid", u64::from(*pid))
+                        .uint("tid", 0)
+                        .str("name", "process_name")
+                        .args("name", |b| push_json_str(b, name))
+                        .end()?;
+                }
+                for s in sorted {
+                    events
+                        .begin("X")
+                        .num("ts", s.start_ns / 1_000.0)
+                        .num("dur", s.dur_ns / 1_000.0)
+                        .uint("pid", u64::from(s.pid))
+                        .uint("tid", u64::from(s.tid))
+                        .str("name", &s.name)
+                        .end()?;
+                }
+            }
+            for series in &timeseries.series {
+                if crate::timeseries::is_memo_series(&series.name) {
+                    continue;
+                }
+                let pid = u64::from(device_pid(PID_GPU, series.device as usize));
+                for p in &series.points {
+                    events
+                        .begin("C")
+                        .num("ts", p.start_ns as f64 / 1_000.0)
+                        .uint("pid", pid)
+                        .uint("tid", 0)
+                        .str("name", &series.name)
+                        .args("value", |b| push_json_num(b, p.value))
+                        .end()?;
+                }
+            }
+            let queue_pid = u64::from(device_pid(PID_SERVING, 0));
+            let mut name = String::new();
+            for r in &inner.decisions.lock().requests {
+                let exec_pid = u64::from(device_pid(PID_SERVING, r.device as usize));
+                let dispatch_ns = r.arrival_ns + r.form_ns + r.queue_ns;
+                let end_ns = r.arrival_ns + r.total_ns;
+                name.clear();
+                write!(name, "request {}", r.request).expect("formatting into a String");
+                for (ph, ts_ns) in [("b", r.arrival_ns), ("e", end_ns)] {
+                    events
+                        .begin(ph)
+                        .str("cat", "request")
+                        .uint("id", r.request)
+                        .num("ts", ts_ns / 1_000.0)
+                        .uint("pid", queue_pid)
+                        .uint("tid", 0)
+                        .str("name", &name)
+                        .end()?;
+                }
+                events
+                    .begin("s")
+                    .uint("id", r.request)
+                    .num("ts", r.arrival_ns / 1_000.0)
+                    .uint("pid", queue_pid)
+                    .uint("tid", 0)
+                    .str("name", "request path")
+                    .end()?;
+                events
+                    .begin("f")
+                    .str("bp", "e")
+                    .uint("id", r.request)
+                    .num("ts", dispatch_ns / 1_000.0)
+                    .uint("pid", exec_pid)
+                    .uint("tid", 2)
+                    .str("name", "request path")
+                    .end()?;
+            }
+        }
+        let close: &[u8] = if events.any { b"\n  ]" } else { b"]" };
+        w.write_all(close)?;
+        w.write_all(b",\n  \"displayTimeUnit\": \"ns\"\n}\n")
+    }
+
+    /// [`Self::write_chrome_trace`] into a `String`.
+    ///
+    /// # Panics
+    ///
+    /// Never panics in practice: writing into memory cannot fail and the
+    /// writer emits UTF-8.
     #[must_use]
     pub fn chrome_trace_json(&self) -> String {
-        let timeseries = self.timeseries();
-        let decisions = self.decisions();
-        let (mut spans, names) = match self {
-            TelemetrySink::Disabled => (Vec::new(), BTreeMap::new()),
-            TelemetrySink::Recording(inner) => {
-                (inner.spans.lock().clone(), inner.process_names.lock().clone())
-            }
-        };
-        spans.sort_by(|a, b| {
-            (a.pid, a.tid)
-                .cmp(&(b.pid, b.tid))
-                .then(a.start_ns.total_cmp(&b.start_ns))
-                .then(b.dur_ns.total_cmp(&a.dur_ns))
-        });
-        use serde_json::{Number, Value};
-        let str_val = |s: &str| Value::String(s.to_string());
-        let num = |x: f64| Value::Number(Number::Float(x));
-        let uint = |x: u64| Value::Number(Number::PosInt(x));
-        let mut events = Vec::with_capacity(spans.len() + names.len());
-        for (pid, name) in &names {
-            events.push(Value::Object(vec![
-                ("ph".into(), str_val("M")),
-                ("ts".into(), num(0.0)),
-                ("pid".into(), uint(u64::from(*pid))),
-                ("tid".into(), uint(0)),
-                ("name".into(), str_val("process_name")),
-                (
-                    "args".into(),
-                    Value::Object(vec![("name".into(), str_val(name))]),
-                ),
-            ]));
-        }
-        for s in &spans {
-            events.push(Value::Object(vec![
-                ("ph".into(), str_val("X")),
-                ("ts".into(), num(s.start_ns / 1_000.0)),
-                ("dur".into(), num(s.dur_ns / 1_000.0)),
-                ("pid".into(), uint(u64::from(s.pid))),
-                ("tid".into(), uint(u64::from(s.tid))),
-                ("name".into(), str_val(&s.name)),
-            ]));
-        }
-        for series in &timeseries.series {
-            if crate::timeseries::is_memo_series(&series.name) {
-                continue;
-            }
-            for p in &series.points {
-                events.push(Value::Object(vec![
-                    ("ph".into(), str_val("C")),
-                    ("ts".into(), num(p.start_ns as f64 / 1_000.0)),
-                    ("pid".into(), uint(u64::from(device_pid(PID_GPU, series.device as usize)))),
-                    ("tid".into(), uint(0)),
-                    ("name".into(), str_val(&series.name)),
-                    (
-                        "args".into(),
-                        Value::Object(vec![("value".into(), num(p.value))]),
-                    ),
-                ]));
-            }
-        }
-        for r in &decisions.requests {
-            let queue_pid = u64::from(device_pid(PID_SERVING, 0));
-            let exec_pid = u64::from(device_pid(PID_SERVING, r.device as usize));
-            let dispatch_ns = r.arrival_ns + r.form_ns + r.queue_ns;
-            let end_ns = r.arrival_ns + r.total_ns;
-            let name = format!("request {}", r.request);
-            events.push(Value::Object(vec![
-                ("ph".into(), str_val("b")),
-                ("cat".into(), str_val("request")),
-                ("id".into(), uint(r.request)),
-                ("ts".into(), num(r.arrival_ns / 1_000.0)),
-                ("pid".into(), uint(queue_pid)),
-                ("tid".into(), uint(0)),
-                ("name".into(), str_val(&name)),
-            ]));
-            events.push(Value::Object(vec![
-                ("ph".into(), str_val("e")),
-                ("cat".into(), str_val("request")),
-                ("id".into(), uint(r.request)),
-                ("ts".into(), num(end_ns / 1_000.0)),
-                ("pid".into(), uint(queue_pid)),
-                ("tid".into(), uint(0)),
-                ("name".into(), str_val(&name)),
-            ]));
-            events.push(Value::Object(vec![
-                ("ph".into(), str_val("s")),
-                ("id".into(), uint(r.request)),
-                ("ts".into(), num(r.arrival_ns / 1_000.0)),
-                ("pid".into(), uint(queue_pid)),
-                ("tid".into(), uint(0)),
-                ("name".into(), str_val("request path")),
-            ]));
-            events.push(Value::Object(vec![
-                ("ph".into(), str_val("f")),
-                ("bp".into(), str_val("e")),
-                ("id".into(), uint(r.request)),
-                ("ts".into(), num(dispatch_ns / 1_000.0)),
-                ("pid".into(), uint(exec_pid)),
-                ("tid".into(), uint(2)),
-                ("name".into(), str_val("request path")),
-            ]));
-        }
-        let doc = Value::Object(vec![
-            ("traceEvents".into(), Value::Array(events)),
-            ("displayTimeUnit".into(), str_val("ns")),
-        ]);
-        let mut text = serde_json::to_string_pretty(&doc).expect("trace serializes");
-        text.push('\n');
-        text
+        let mut out = Vec::new();
+        self.write_chrome_trace(&mut out)
+            .expect("writing into memory cannot fail");
+        String::from_utf8(out).expect("the trace writer emits UTF-8")
     }
+}
+
+/// Writes Chrome trace events one at a time, each laid out exactly as
+/// `serde_json::to_string_pretty` lays out an element of the top-level
+/// `traceEvents` array: `"ph"` first, one `"key": value` per line.
+struct TraceEvents<'w, W: Write> {
+    out: &'w mut W,
+    /// The event being built, reused so writing an event allocates nothing.
+    buf: String,
+    /// Whether an event was written (the next one needs a separator).
+    any: bool,
+}
+
+impl<W: Write> TraceEvents<'_, W> {
+    fn begin(&mut self, ph: &str) -> &mut Self {
+        self.buf.clear();
+        self.buf
+            .push_str(if self.any { ",\n    {" } else { "\n    {" });
+        self.any = true;
+        self.buf.push_str("\n      \"ph\": ");
+        push_json_str(&mut self.buf, ph);
+        self
+    }
+
+    fn key(&mut self, key: &str) -> &mut String {
+        self.buf.push_str(",\n      \"");
+        self.buf.push_str(key);
+        self.buf.push_str("\": ");
+        &mut self.buf
+    }
+
+    fn str(&mut self, key: &str, v: &str) -> &mut Self {
+        push_json_str(self.key(key), v);
+        self
+    }
+
+    fn num(&mut self, key: &str, x: f64) -> &mut Self {
+        push_json_num(self.key(key), x);
+        self
+    }
+
+    fn uint(&mut self, key: &str, x: u64) -> &mut Self {
+        write!(self.key(key), "{x}").expect("formatting into a String");
+        self
+    }
+
+    /// An `"args"` object holding the one field `key`, whose value `value`
+    /// appends.
+    fn args(&mut self, key: &str, value: impl FnOnce(&mut String)) -> &mut Self {
+        self.buf.push_str(",\n      \"args\": {\n        \"");
+        self.buf.push_str(key);
+        self.buf.push_str("\": ");
+        value(&mut self.buf);
+        self.buf.push_str("\n      }");
+        self
+    }
+
+    fn end(&mut self) -> io::Result<()> {
+        self.buf.push_str("\n    }");
+        self.out.write_all(self.buf.as_bytes())
+    }
+}
+
+/// Appends `s` as a JSON string literal.
+fn push_json_str(buf: &mut String, s: &str) {
+    serde::write_escaped_str(buf, s).expect("formatting into a String");
+}
+
+/// Appends `x` by the stub's number rules: shortest round-trip digits,
+/// integral values without `.0`, non-finite values as `null`.
+fn push_json_num(buf: &mut String, x: f64) {
+    write!(buf, "{}", serde_json::Number::Float(x)).expect("formatting into a String");
 }
 
 #[cfg(test)]

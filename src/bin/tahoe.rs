@@ -18,6 +18,7 @@
 //! `--data` accepts either a Table 2 dataset name (synthetic generation) or a
 //! path to a CSV file (label in the last column; `?`/`NA`/empty = missing).
 
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -203,10 +204,10 @@ impl Flags {
                 "--task" => f.task = Some(value()?),
                 "--strategy" => f.strategy = Some(value()?),
                 "--node-encoding" => f.node_encoding = Some(value()?),
-                "--batch" => f.batch = Some(parse_num(&value()?, "--batch")?),
+                "--batch" => f.batch = Some(parse_count(&value()?, "--batch")?),
                 "--gpus" => f.gpus = Some(parse_num(&value()?, "--gpus")?),
                 "--devices" => f.devices = Some(value()?),
-                "--requests" => f.requests = Some(parse_num(&value()?, "--requests")?),
+                "--requests" => f.requests = Some(parse_count(&value()?, "--requests")?),
                 "--interarrival" => {
                     let v = value()?;
                     let ns: f64 = v
@@ -303,8 +304,12 @@ impl Flags {
     /// Writes the requested telemetry exports; no-op without the flags.
     fn export_telemetry(&self, sink: &TelemetrySink) -> Result<(), String> {
         if let Some(path) = &self.trace {
-            std::fs::write(path, sink.chrome_trace_json())
-                .map_err(|e| format!("writing {}: {e}", path.display()))?;
+            let write = || -> std::io::Result<()> {
+                let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
+                sink.write_chrome_trace(&mut w)?;
+                w.flush()
+            };
+            write().map_err(|e| format!("writing {}: {e}", path.display()))?;
             println!("wrote Chrome trace to {}", path.display());
         }
         if let Some(path) = &self.metrics {
@@ -353,6 +358,14 @@ impl Flags {
 
 fn parse_num(v: &str, flag: &str) -> Result<usize, String> {
     v.parse().map_err(|_| format!("bad number '{v}' for {flag}"))
+}
+
+/// A count flag: a number that must be at least 1.
+fn parse_count(v: &str, flag: &str) -> Result<usize, String> {
+    match parse_num(v, flag)? {
+        0 => Err(format!("{flag} must be >= 1, got 0")),
+        n => Ok(n),
+    }
 }
 
 fn device_by_name(name: &str) -> Result<DeviceSpec, String> {
@@ -473,7 +486,7 @@ fn load_model(flags: &Flags, data: &Dataset) -> Result<Forest, String> {
 
 fn batch_samples(flags: &Flags, data: &Dataset) -> tahoe_repro::datasets::SampleMatrix {
     let (_, infer) = data.split_train_infer();
-    let n = flags.batch.unwrap_or(infer.len()).max(1);
+    let n = flags.batch.unwrap_or(infer.len().max(1));
     let idx: Vec<usize> = (0..n).map(|i| i % infer.len().max(1)).collect();
     infer.samples.select(&idx)
 }
@@ -569,7 +582,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     let forest = load_model(flags, &data)?;
     let devices = flags.cluster_devices()?;
     let policy = flags.batching_policy()?;
-    let n_requests = flags.requests.unwrap_or(1_000).max(1);
+    let n_requests = flags.requests.unwrap_or(1_000);
     let interarrival_ns = flags.interarrival.unwrap_or(1_000.0);
     let payloads = batch_samples(flags, &data);
     let sink = flags.sink();

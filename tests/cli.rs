@@ -92,6 +92,19 @@ fn unknown_flags_and_missing_data_fail_cleanly() {
 }
 
 #[test]
+fn zero_counts_are_rejected_at_parse_time() {
+    for (cmd, flag) in [("infer", "--batch"), ("serve", "--batch"), ("serve", "--requests")] {
+        let out = cli().args([cmd, "--data", "letter", flag, "0"]).output().unwrap();
+        assert!(!out.status.success(), "{cmd} {flag} 0 must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("{flag} must be >= 1, got 0")),
+            "{cmd} {flag} 0: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn profile_export_and_pretty_print() {
     let model = temp_path("profile_model.json");
     let profile = temp_path("profile_export.json");
