@@ -27,10 +27,10 @@ use std::sync::Mutex;
 use serde_json::Value;
 use tahoe::cluster::GpuCluster;
 use tahoe::engine::{Engine, EngineOptions};
-use tahoe::serving::{BatchingPolicy, ClusterServingSim};
+use tahoe::serving::{BatchingPolicy, ClusterServingSim, ServingSim};
 use tahoe::strategy::testutil::{context, Fixture};
 use tahoe::strategy::{self, LaunchContext, Strategy, StrategyRun};
-use tahoe::telemetry::{TelemetryCtx, TelemetrySink};
+use tahoe::telemetry::{TelemetryCtx, TelemetrySink, PID_ENGINE};
 use tahoe::tune::{cache_key, set_tune_cache};
 use tahoe::ModelInputs;
 use tahoe_gpu_sim::device::DeviceSpec;
@@ -397,6 +397,93 @@ fn cluster_serving_exports() -> (String, String, String, String, String) {
     )
 }
 
+/// Recursively resets every `cache_hit` flag of a decisions export: whether a
+/// tuning decision was replayed from the cache is the one thing the cache may
+/// change (DESIGN.md §2.16).
+fn clear_cache_hits(v: &mut Value) {
+    match v {
+        Value::Object(entries) => {
+            for (key, val) in entries.iter_mut() {
+                if key == "cache_hit" {
+                    *val = Value::Bool(false);
+                } else {
+                    clear_cache_hits(val);
+                }
+            }
+        }
+        Value::Array(items) => {
+            for item in items.iter_mut() {
+                clear_cache_hits(item);
+            }
+        }
+        _ => {}
+    }
+}
+
+/// 64-bit FNV-1a over a string's bytes: a stable, dependency-free
+/// fingerprint for pinning an export's exact bytes.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Pins the exact exports of a single-engine serving trace (the `ServingSim`
+/// path, which `tests/multi_gpu.rs` only compares report-for-report): the
+/// Chrome trace, metrics, kernel profiles, windowed time series and the
+/// flight-recorder decisions all fingerprint to fixed constants. What may
+/// legitimately vary is normalized first: the engine's wall-clock host track
+/// (`PID_ENGINE` tid 0) is dropped from the trace, memo accounting is zeroed
+/// and memo series are stripped, and `cache_hit` flags are cleared, so the
+/// constants hold at any `TAHOE_SIM_THREADS` × `TAHOE_SIM_MEMO` setting.
+#[test]
+fn single_engine_serving_exports_are_pinned() {
+    let _guard = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let fx = Fixture::trained("letter");
+    let sink = TelemetrySink::recording();
+    let mut engine = Engine::with_telemetry(
+        DeviceSpec::tesla_p100(),
+        fx.forest.clone(),
+        EngineOptions::tahoe(),
+        sink.clone(),
+    );
+    let report = ServingSim::new(&mut engine, BatchingPolicy::new(32, 10_000.0))
+        .run_uniform_trace_with_deadline(&fx.samples, 300, 50.0, Some(500_000.0));
+    assert_eq!(report.n_requests(), 300);
+
+    let mut trace: Value = serde_json::from_str(&sink.chrome_trace_json()).expect("trace parses");
+    if let Value::Object(entries) = &mut trace {
+        for (key, val) in entries.iter_mut() {
+            if let (true, Value::Array(events)) = (key == "traceEvents", val) {
+                events.retain(|e| {
+                    !(e["ph"].as_str() == Some("X")
+                        && e["pid"].as_u64() == Some(u64::from(PID_ENGINE))
+                        && e["tid"].as_u64() == Some(0))
+                });
+            }
+        }
+    }
+    let mut decisions: Value =
+        serde_json::from_str(&sink.decisions_json()).expect("decisions parse");
+    clear_cache_hits(&mut decisions);
+    let fingerprint = |v: &Value| fnv1a(&serde_json::to_string(v).expect("serializes"));
+    let got = [
+        ("trace", fingerprint(&trace)),
+        ("metrics", fingerprint(&normalized(&sink.metrics_json()))),
+        ("profiles", fingerprint(&normalized(&sink.profiles_json()))),
+        ("timeseries", fingerprint(&normalized_timeseries(&sink.timeseries_json()))),
+        ("decisions", fingerprint(&decisions)),
+    ];
+    let want = [
+        ("trace", 7_558_514_781_351_136_944),
+        ("metrics", 5_191_924_975_475_901_831),
+        ("profiles", 1_488_832_044_322_112_861),
+        ("timeseries", 13_625_362_913_152_064_068),
+        ("decisions", 5_271_231_998_148_582_862),
+    ];
+    assert_eq!(got, want, "single-engine serving exports moved");
+}
+
 /// End-to-end memo-key discrimination: a batch of 256 identical rows makes
 /// every direct-strategy block's window bit-identical (7 hits out of 8
 /// blocks), and flipping a *single* sample feature value inside one block's
@@ -533,25 +620,6 @@ fn tuning_cache_changes_nothing_but_its_own_accounting() {
         assert_eq!(a.to_bits(), b.to_bits(), "the cache must not change simulated results");
     }
     assert_ne!(warm, cold, "the warm run records its cache hits");
-    fn clear_cache_hits(v: &mut Value) {
-        match v {
-            Value::Object(entries) => {
-                for (key, val) in entries.iter_mut() {
-                    if key == "cache_hit" {
-                        *val = Value::Bool(false);
-                    } else {
-                        clear_cache_hits(val);
-                    }
-                }
-            }
-            Value::Array(items) => {
-                for item in items.iter_mut() {
-                    clear_cache_hits(item);
-                }
-            }
-            _ => {}
-        }
-    }
     let normalize = |json: &str| -> Value {
         let mut v: Value = serde_json::from_str(json).expect("decisions parse");
         clear_cache_hits(&mut v);
