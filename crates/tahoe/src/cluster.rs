@@ -62,10 +62,10 @@ pub struct ClusterRun {
 
 /// N per-device engines over one replicated forest image.
 pub struct GpuCluster {
+    /// One engine per device. Each records into its own private sink (all
+    /// `Disabled` when the cluster sink is disabled), drained by
+    /// [`GpuCluster::flush_telemetry`].
     engines: Vec<Engine>,
-    /// Private per-device recording sinks (all `Disabled` when the cluster
-    /// sink is disabled); drained by [`GpuCluster::flush_telemetry`].
-    device_sinks: Vec<TelemetrySink>,
     /// The cluster-wide sink exports are read from.
     sink: TelemetrySink,
 }
@@ -133,7 +133,6 @@ impl GpuCluster {
         assert!(!devices.is_empty(), "need at least one device");
         let mut engines: Vec<Engine> = Vec::with_capacity(devices.len());
         let mut nominal: Vec<DeviceSpec> = Vec::with_capacity(devices.len());
-        let mut device_sinks = Vec::with_capacity(devices.len());
         for (d, spec) in devices.into_iter().enumerate() {
             let dsink = if sink.is_enabled() {
                 let dsink = TelemetrySink::recording();
@@ -151,14 +150,13 @@ impl GpuCluster {
             // per SKU and lives with per-board clock spread.
             let exec_spec = spec.downclocked(silicon_lottery_slowdown(d));
             let engine = match nominal.iter().position(|n| *n == spec) {
-                Some(twin) => engines[twin].replicate(exec_spec, dsink.clone()),
-                None => Engine::with_telemetry(exec_spec, forest.clone(), options, dsink.clone()),
+                Some(twin) => engines[twin].replicate(exec_spec, dsink),
+                None => Engine::with_telemetry(exec_spec, forest.clone(), options, dsink),
             };
             engines.push(engine);
             nominal.push(spec);
-            device_sinks.push(dsink);
         }
-        Self { engines, device_sinks, sink }
+        Self { engines, sink }
     }
 
     /// Devices in the cluster.
@@ -187,10 +185,10 @@ impl GpuCluster {
         &mut self.engines[idx]
     }
 
-    /// Device `idx`'s private telemetry sink (the serving dispatcher records
-    /// batch spans into the device that ran the batch).
-    pub(crate) fn device_sink(&self, idx: usize) -> &TelemetrySink {
-        &self.device_sinks[idx]
+    /// Every device's engine, in device-index order (the serving loop
+    /// dispatches across them).
+    pub(crate) fn engines_mut(&mut self) -> &mut [Engine] {
+        &mut self.engines
     }
 
     /// The cluster-wide sink. Call [`GpuCluster::flush_telemetry`] before
@@ -292,8 +290,8 @@ impl GpuCluster {
         if !self.sink.is_enabled() {
             return;
         }
-        for (d, dsink) in self.device_sinks.iter().enumerate() {
-            self.sink.absorb_device(dsink, d, self.engines[d].device().name);
+        for (d, engine) in self.engines.iter().enumerate() {
+            self.sink.absorb_device(engine.telemetry(), d, engine.device().name);
         }
         let in_use: u64 = self.engines.iter().map(|e| e.memory().in_use_bytes()).sum();
         let high_water: u64 = self
