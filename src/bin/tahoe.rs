@@ -198,14 +198,14 @@ impl Flags {
                     let v = value()?;
                     f.scale = Scale::parse(&v).ok_or(format!("unknown scale '{v}'"))?;
                 }
-                "--trees" => f.trees = Some(parse_num(&value()?, "--trees")?),
+                "--trees" => f.trees = Some(parse_count(&value()?, "--trees")?),
                 "--depth" => f.depth = Some(parse_num(&value()?, "--depth")?),
                 "--kind" => f.kind = Some(value()?),
                 "--task" => f.task = Some(value()?),
                 "--strategy" => f.strategy = Some(value()?),
                 "--node-encoding" => f.node_encoding = Some(value()?),
                 "--batch" => f.batch = Some(parse_count(&value()?, "--batch")?),
-                "--gpus" => f.gpus = Some(parse_num(&value()?, "--gpus")?),
+                "--gpus" => f.gpus = Some(parse_count(&value()?, "--gpus")?),
                 "--devices" => f.devices = Some(value()?),
                 "--requests" => f.requests = Some(parse_count(&value()?, "--requests")?),
                 "--interarrival" => {
@@ -246,7 +246,7 @@ impl Flags {
                     f.slo_ns = Some(ns);
                 }
                 "--calibrate" => f.calibrate = true,
-                "--top" => f.top = Some(parse_num(&value()?, "--top")?),
+                "--top" => f.top = Some(parse_count(&value()?, "--top")?),
                 other => return Err(format!("unknown flag '{other}'")),
             }
         }
@@ -271,11 +271,7 @@ impl Flags {
             }
             return Ok(devices);
         }
-        let n = self.gpus.unwrap_or(1);
-        if n == 0 {
-            return Err("--gpus must be at least 1".to_string());
-        }
-        Ok(vec![self.device()?; n])
+        Ok(vec![self.device()?; self.gpus.unwrap_or(1)])
     }
 
     fn batching_policy(&self) -> Result<BatchingPolicy, String> {

@@ -93,7 +93,14 @@ fn unknown_flags_and_missing_data_fail_cleanly() {
 
 #[test]
 fn zero_counts_are_rejected_at_parse_time() {
-    for (cmd, flag) in [("infer", "--batch"), ("serve", "--batch"), ("serve", "--requests")] {
+    for (cmd, flag) in [
+        ("infer", "--batch"),
+        ("serve", "--batch"),
+        ("serve", "--requests"),
+        ("train", "--trees"),
+        ("serve", "--gpus"),
+        ("explain", "--top"),
+    ] {
         let out = cli().args([cmd, "--data", "letter", flag, "0"]).output().unwrap();
         assert!(!out.status.success(), "{cmd} {flag} 0 must fail");
         let stderr = String::from_utf8_lossy(&out.stderr);
