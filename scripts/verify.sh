@@ -9,6 +9,10 @@ cargo build --workspace --release
 cargo clippy --workspace --all-targets --release -- -D warnings
 cargo test --workspace --release
 
+# servebench sits outside the workspace but drives the serving API, so an API
+# break must fail here rather than in the benchmark run.
+cargo test --release --offline --locked --manifest-path servebench/Cargo.toml
+
 # The parallel block-simulation driver must be bit-identical at any worker
 # count and with the block-memo cache on or off (DESIGN.md §2.12); exercise
 # the TAHOE_SIM_THREADS × TAHOE_SIM_MEMO env paths across the full 4-cell
