@@ -15,14 +15,10 @@
 //! process via `set_sim_memo`, with the hit rate read back from the
 //! telemetry counters. The phase is a spot check as much as a benchmark: it
 //! exits non-zero if the repeated-geometry plan reports zero hits, which
-//! would mean the strategy key material regressed. A third phase does the
-//! same for the tuning-decision cache (DESIGN.md §2.16): repeated identical
-//! batches with the cache off vs on, exiting non-zero when the hit rate
-//! drops to 90% or below — a repeated batch must hit on every launch after
-//! the first. An export phase serves a higgs trace into a recording sink
-//! and times the two largest telemetry exports (DESIGN.md §2.9), exiting
-//! non-zero when writing the Chrome trace takes longer than the recorded
-//! serve it exports. A final spot check pins
+//! would mean the strategy key material regressed. An export phase serves a
+//! higgs trace into a recording sink and times the two largest telemetry
+//! exports (DESIGN.md §2.9), exiting non-zero when writing the Chrome trace
+//! takes longer than the recorded serve it exports. A final spot check pins
 //! `TelemetrySink::Disabled` as a strict no-op for the windowed time-series
 //! sampler (DESIGN.md §2.14) — the timed phases assume telemetry-off costs
 //! nothing.
@@ -35,7 +31,6 @@ use tahoe::engine::{Engine, EngineOptions};
 use tahoe::serving::{BatchingPolicy, ServingSim};
 use tahoe::strategy::Strategy;
 use tahoe::telemetry::TelemetrySink;
-use tahoe::tune::set_tune_cache;
 use tahoe_bench::experiments::strategies::strategy_row;
 use tahoe_bench::experiments::HIGH_BATCH;
 use tahoe_bench::report::write_json;
@@ -81,20 +76,6 @@ struct HostSimBench {
     memo_misses: u64,
     /// `memo_hits / (memo_hits + memo_misses)`.
     memo_hit_rate: f64,
-    /// Repeated identical batches the tuning-cache phase launched.
-    tune_batches: usize,
-    /// Wall seconds of the tuning-cache phase with the cache off.
-    tune_cold_s: f64,
-    /// Wall seconds of the tuning-cache phase with the cache on.
-    tune_warm_s: f64,
-    /// `tune_cold_s / tune_warm_s`.
-    tune_speedup: f64,
-    /// Tuning-cache hits the recording run observed.
-    tuning_cache_hits: u64,
-    /// Tuning-cache misses (distinct cache keys actually swept).
-    tuning_cache_misses: u64,
-    /// `tuning_cache_hits / (tuning_cache_hits + tuning_cache_misses)`.
-    tuning_cache_hit_rate: f64,
     /// Requests in the export phase's recorded serve (higgs, one P100).
     export_serve_requests: usize,
     /// Wall milliseconds of that recorded serve (the trace-export bound).
@@ -138,37 +119,6 @@ fn timed_memo_run(p: &tahoe_bench::Prepared, batch: &SampleMatrix, memo: bool) -
         best = best.min(t0.elapsed().as_secs_f64());
     }
     set_sim_memo(None);
-    best
-}
-
-/// Times `n` repeated identical batches through a fresh engine with the
-/// tuning-decision cache forced to `cache`, telemetry disabled, best of two
-/// runs. The warm run re-sweeps the tuning ladder once and replays the
-/// cached plan thereafter; the cold run pays the sweep on every launch.
-fn timed_tune_run(
-    p: &tahoe_bench::Prepared,
-    batch: &SampleMatrix,
-    n: usize,
-    cache: bool,
-) -> f64 {
-    set_tune_cache(Some(cache));
-    let mut best = f64::INFINITY;
-    for _ in 0..2 {
-        let mut engine = Engine::new(
-            DeviceSpec::tesla_p100(),
-            p.forest.clone(),
-            EngineOptions {
-                functional: false,
-                ..EngineOptions::tahoe()
-            },
-        );
-        let t0 = Instant::now();
-        for _ in 0..n {
-            let _ = engine.infer(batch);
-        }
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    set_tune_cache(None);
     best
 }
 
@@ -233,51 +183,6 @@ fn main() {
         );
         std::process::exit(1);
     }
-    // Tuning-cache phase (DESIGN.md §2.16): repeated identical batches, so
-    // every launch after the first must replay the cached tuning sweep.
-    let tune_batches = 32;
-    let tune_cold_s = timed_tune_run(&memo_p, &batch, tune_batches, false);
-    println!("[host_perf] tuning cache off ({tune_batches} repeated batches): {tune_cold_s:.2} s");
-    let tune_warm_s = timed_tune_run(&memo_p, &batch, tune_batches, true);
-    println!("[host_perf] tuning cache on  ({tune_batches} repeated batches): {tune_warm_s:.2} s");
-    // Untimed recording run: read the hit rate back from the counters.
-    let sink = TelemetrySink::recording();
-    set_tune_cache(Some(true));
-    let mut engine = Engine::with_telemetry(
-        DeviceSpec::tesla_p100(),
-        memo_p.forest.clone(),
-        EngineOptions {
-            functional: false,
-            ..EngineOptions::tahoe()
-        },
-        sink.clone(),
-    );
-    for _ in 0..tune_batches {
-        let _ = engine.infer(&batch);
-    }
-    set_tune_cache(None);
-    let snap = sink.snapshot();
-    let (tuning_cache_hits, tuning_cache_misses) = (
-        snap.counters["tuning_cache_hits"],
-        snap.counters["tuning_cache_misses"],
-    );
-    let tuning_cache_hit_rate =
-        tuning_cache_hits as f64 / (tuning_cache_hits + tuning_cache_misses).max(1) as f64;
-    if tuning_cache_hits == 0 || tuning_cache_hit_rate <= 0.9 {
-        eprintln!(
-            "[host_perf] FAIL: {tune_batches} repeated batches reported a \
-             {:.1}% tuning-cache hit rate ({tuning_cache_hits} hits / \
-             {tuning_cache_misses} misses) — cache key material regressed",
-            100.0 * tuning_cache_hit_rate
-        );
-        std::process::exit(1);
-    }
-    println!(
-        "[host_perf] tuning-cache hit rate {:.1}% ({tuning_cache_hits} hits / \
-         {tuning_cache_misses} misses), speedup {:.2}x",
-        100.0 * tuning_cache_hit_rate,
-        if tune_warm_s > 0.0 { tune_cold_s / tune_warm_s } else { 1.0 }
-    );
 
     // Export phase (DESIGN.md §2.9): a recorded 16 384-request higgs serve
     // at 325 ns between arrivals, then its two largest exports. Exporting
@@ -367,13 +272,6 @@ fn main() {
         memo_hits,
         memo_misses,
         memo_hit_rate,
-        tune_batches,
-        tune_cold_s,
-        tune_warm_s,
-        tune_speedup: if tune_warm_s > 0.0 { tune_cold_s / tune_warm_s } else { 1.0 },
-        tuning_cache_hits,
-        tuning_cache_misses,
-        tuning_cache_hit_rate,
         export_serve_requests,
         export_serve_ms,
         trace_export_ms,

@@ -622,24 +622,10 @@ fn worst_p99_attribution_section(v: &Value) -> Option<String> {
             100.0 * drift.iter().copied().fold(0.0f64, f64::max),
         );
     }
-    // Tuning-cache and calibration digests (DESIGN.md §2.16). Both are
-    // guarded on the new fields actually being present, so exports written
-    // before the flight recorder carried them simply omit the lines.
+    // Calibration digest (DESIGN.md §2.16), guarded on the generation field
+    // actually being present, so exports written before the flight recorder
+    // carried it simply omit the line.
     let decisions: Vec<&Value> = v["decisions"].as_array().into_iter().flatten().collect();
-    let cached: Vec<bool> = decisions
-        .iter()
-        .filter_map(|d| d["cache_hit"].as_bool())
-        .collect();
-    if !cached.is_empty() {
-        let hits = cached.iter().filter(|h| **h).count();
-        let _ = writeln!(
-            out,
-            "- tuning cache: {}/{} decisions served from cache ({:.1}% hit rate)",
-            hits,
-            cached.len(),
-            100.0 * hits as f64 / cached.len() as f64,
-        );
-    }
     let abs_err_where = |pred: &dyn Fn(u64) -> bool| -> Vec<f64> {
         decisions
             .iter()
@@ -823,14 +809,13 @@ mod tests {
             section.contains("tuning decisions: 2 recorded, mean |drift| 15.0%, max |drift| 20.0%"),
             "{section}"
         );
-        // Exports written before the flight recorder carried cache and
-        // calibration fields omit those digest lines entirely.
-        assert!(!section.contains("tuning cache:"), "{section}");
+        // Exports written before the flight recorder carried calibration
+        // fields omit that digest line entirely.
         assert!(!section.contains("calibration:"), "{section}");
     }
 
     #[test]
-    fn worst_p99_attribution_digests_cache_and_calibration() {
+    fn worst_p99_attribution_digests_calibration() {
         let v: Value = serde_json::from_str(
             r#"{
               "decisions": [
@@ -838,22 +823,22 @@ mod tests {
                  "chosen_strategy": "direct", "chosen_block_threads": 128,
                  "predicted_ns": 110.0, "simulated_ns": 100.0,
                  "relative_error": 0.1, "calibration_generation": 0,
-                 "cache_hit": false, "candidates": []},
+                 "candidates": []},
                 {"device": 0, "batch": 1, "n_samples": 32, "forced": false,
                  "chosen_strategy": "direct", "chosen_block_threads": 128,
                  "predicted_ns": 80.0, "simulated_ns": 100.0,
                  "relative_error": -0.2, "calibration_generation": 0,
-                 "cache_hit": true, "candidates": []},
+                 "candidates": []},
                 {"device": 0, "batch": 2, "n_samples": 32, "forced": false,
                  "chosen_strategy": "direct", "chosen_block_threads": 128,
                  "predicted_ns": 99.0, "simulated_ns": 100.0,
                  "relative_error": -0.01, "calibration_generation": 1,
-                 "cache_hit": true, "candidates": []},
+                 "candidates": []},
                 {"device": 0, "batch": 3, "n_samples": 32, "forced": false,
                  "chosen_strategy": "direct", "chosen_block_threads": 128,
                  "predicted_ns": 103.0, "simulated_ns": 100.0,
                  "relative_error": 0.03, "calibration_generation": 1,
-                 "cache_hit": true, "candidates": []}
+                 "candidates": []}
               ],
               "requests": [
                 {"request": 0, "batch": 0, "device": 0, "arrival_ns": 0.0,
@@ -864,12 +849,7 @@ mod tests {
         )
         .expect("fixture parses");
         let section = worst_p99_attribution_section(&v).expect("non-empty digest");
-        // 3 of 4 decisions hit the cache; gen-0 mean |drift| = (10+20)/2 =
-        // 15%, gen-1 mean = (1+3)/2 = 2%.
-        assert!(
-            section.contains("tuning cache: 3/4 decisions served from cache (75.0% hit rate)"),
-            "{section}"
-        );
+        // gen-0 mean |drift| = (10+20)/2 = 15%, gen-1 mean = (1+3)/2 = 2%.
         assert!(
             section.contains(
                 "calibration: mean |drift| 15.00% uncalibrated (2 gen-0 decisions) -> 2.00% calibrated (2 decisions)"

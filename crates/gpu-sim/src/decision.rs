@@ -78,9 +78,6 @@ pub struct DecisionRecord {
     /// §6 constants; bumps when the engine's calibrator refits and moves a
     /// scale).
     pub calibration_generation: u64,
-    /// Whether the tuned plan list came from the engine's tuning-decision
-    /// cache instead of a fresh `tune_all` sweep.
-    pub cache_hit: bool,
     /// Every candidate the tuner swept, in sweep order (strategy-major,
     /// ascending block size).
     pub candidates: Vec<DecisionCandidate>,
@@ -216,7 +213,6 @@ mod tests {
             simulated_ns: 1_000.0,
             relative_error: -0.1,
             calibration_generation: 0,
-            cache_hit: false,
             candidates: vec![
                 DecisionCandidate {
                     strategy: "shared data".to_string(),

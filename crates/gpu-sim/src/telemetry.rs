@@ -125,17 +125,11 @@ pub enum Counter {
     /// Approximate bytes of cached block results held by per-launch memo
     /// caches, summed over launches.
     MemoBytes,
-    /// Engine batches whose tuned plan list came from the tuning-decision
-    /// cache instead of a fresh `tune_all` sweep (DESIGN.md §2.16).
-    TuningCacheHits,
-    /// Engine batches that ran a fresh `tune_all` sweep and populated the
-    /// tuning-decision cache.
-    TuningCacheMisses,
 }
 
 impl Counter {
     /// Every counter, in declaration order.
-    pub const ALL: [Counter; 29] = [
+    pub const ALL: [Counter; 27] = [
         Counter::GmemTransactions,
         Counter::GmemRequestedBytes,
         Counter::GmemFetchedBytes,
@@ -163,8 +157,6 @@ impl Counter {
         Counter::MemoHits,
         Counter::MemoMisses,
         Counter::MemoBytes,
-        Counter::TuningCacheHits,
-        Counter::TuningCacheMisses,
     ];
 
     /// Whether this entry is a gauge (maintained with `set`/`max`) rather
@@ -207,8 +199,6 @@ impl Counter {
             Counter::MemoHits => "memo_hits",
             Counter::MemoMisses => "memo_misses",
             Counter::MemoBytes => "memo_bytes",
-            Counter::TuningCacheHits => "tuning_cache_hits",
-            Counter::TuningCacheMisses => "tuning_cache_misses",
         }
     }
 }

@@ -203,10 +203,6 @@ pub struct Engine {
     /// present; folded into and applied to selections only when
     /// `options.calibration` is on.
     calibrator: Calibrator,
-    /// Memoized `tune_all` plan lists keyed by everything selection depends
-    /// on (`tune::cache_key`); cleared on reconversion and on
-    /// calibration-generation bumps.
-    tuning_cache: tune::TuningCache,
 }
 
 impl Engine {
@@ -254,7 +250,6 @@ impl Engine {
             clock_ns: 0.0,
             host_cursor_ns: 0.0,
             calibrator: Calibrator::new(),
-            tuning_cache: tune::TuningCache::new(),
         };
         if engine.options.track_probabilities {
             engine.counter = Some(EdgeCounter::new(&engine.forest));
@@ -295,11 +290,8 @@ impl Engine {
             sink,
             clock_ns: 0.0,
             host_cursor_ns: 0.0,
-            // Fitted scales carry over with the rest of the calibration;
-            // the tuning cache does not — replica slots run downclocked
-            // specs, so the template's keys would never match anyway.
+            // Fitted scales carry over with the rest of the calibration.
             calibrator: self.calibrator.clone(),
-            tuning_cache: tune::TuningCache::new(),
         }
     }
 
@@ -317,10 +309,6 @@ impl Engine {
 
     /// (Re)builds the device forest from the current host forest.
     fn convert(&mut self) {
-        // The cache keys per-forest statistics but not the per-tree layout;
-        // its validity contract is that the forest image is fixed within one
-        // cache lifetime, so a rebuild drops every entry (DESIGN.md §2.16).
-        self.tuning_cache.clear();
         let mut report = ConversionReport::default();
         let plan = match (self.options.node_rearrange, self.options.tree_rearrange) {
             (true, true) => {
@@ -459,46 +447,11 @@ impl Engine {
         let inputs = ModelInputs::gather(&self.device_forest, &self.stats, samples);
         let cal_enabled = self.options.calibration;
         let cal = cal_enabled.then_some(&self.calibrator);
-        // Model evaluation: consult the tuning-decision cache (DESIGN.md
-        // §2.16), falling back to tuning each feasible strategy's block size
-        // (Algorithm 1 line 14) and ranking the tuned predictions (lines
-        // 8-13). The cached value is a pure function of its key material, so
-        // warm and cold runs select identically — only this host span and
-        // the cache accounting differ.
+        // Model evaluation: tune each feasible strategy's block size
+        // (Algorithm 1 line 14) and rank the tuned predictions (lines 8-13).
         let t0 = Instant::now();
-        let (tuned, cache_hit) = if tune::tune_cache_enabled() {
-            let key = tune::cache_key(
-                &self.device_forest,
-                &self.device,
-                &inputs,
-                self.options.detail,
-                self.calibrator.generation(),
-            );
-            match self.tuning_cache.get(&key) {
-                Some(cached) => (cached.clone(), true),
-                None => {
-                    let fresh = tune::tune_all_with(&ctx, &inputs, &self.hw, cal);
-                    self.tuning_cache.insert(key, fresh.clone());
-                    (fresh, false)
-                }
-            }
-        } else {
-            (tune::tune_all_with(&ctx, &inputs, &self.hw, cal), false)
-        };
+        let tuned = tune::tune_all_with(&ctx, &inputs, &self.hw, cal);
         let model_eval_ns = t0.elapsed().as_nanos() as u64;
-        // Cache accounting only when the cache was consulted, mirroring the
-        // block-memo counters: turning the cache off zeroes these counters
-        // but must change nothing else.
-        if tune::tune_cache_enabled() {
-            self.sink.add(
-                if cache_hit {
-                    Counter::TuningCacheHits
-                } else {
-                    Counter::TuningCacheMisses
-                },
-                1,
-            );
-        }
         let ranked: Vec<Prediction> = tuned.iter().map(|&(_, _, p)| p).collect();
         // Decision audit (DESIGN.md §2.15): replay the tuner's sweep keeping
         // rejected candidates and their reasons, under the same calibration
@@ -508,7 +461,7 @@ impl Engine {
         let audit_candidates: Option<Vec<DecisionCandidate>> =
             self.sink.is_enabled().then(|| {
                 let n = samples.n_samples() as f64;
-                tune::sweep_candidates_with(&ctx, &inputs, &self.hw, cal)
+                tune::sweep_candidates(&ctx, &inputs, &self.hw, cal)
                     .into_iter()
                     .map(|c| DecisionCandidate {
                         strategy: c.strategy.name().to_string(),
@@ -591,7 +544,6 @@ impl Engine {
                 simulated_ns: drift.simulated_ns,
                 relative_error: drift.relative_error,
                 calibration_generation: self.calibrator.generation(),
-                cache_hit,
                 candidates: audit_candidates.unwrap_or_default(),
             });
             self.sink.push_drift(drift);
@@ -614,15 +566,11 @@ impl Engine {
         self.clock_ns += run.kernel.total_ns;
         // Close the tuning loop (DESIGN.md §2.16): fold this launch's drift
         // observation and refit on cadence. Both inputs derive from the
-        // simulated clock, so calibration cannot perturb byte-identity. A
-        // generation bump invalidates the tuning cache — by dropping
-        // entries, never by mutating them.
+        // simulated clock, so calibration cannot perturb byte-identity.
         if cal_enabled {
             let (raw_ns, _) = replay.expect("replayed when calibration is on");
             self.calibrator.observe(strategy, raw_ns, run.kernel.total_ns);
-            if self.calibrator.maybe_recalibrate() {
-                self.tuning_cache.clear();
-            }
+            self.calibrator.maybe_recalibrate();
         }
         let predictions = if self.options.functional {
             self.device_forest.predict_batch(samples)
@@ -846,11 +794,11 @@ impl Engine {
         &self.calibrator
     }
 
-    /// Distinct batch shapes currently memoized in the tuning-decision
-    /// cache.
+    /// Always 0: the engine memoizes no tuning decision. Exists only
+    /// because `servebench` calls it.
     #[must_use]
     pub fn tuning_cache_len(&self) -> usize {
-        self.tuning_cache.len()
+        0
     }
 }
 
@@ -945,6 +893,16 @@ mod tests {
         let (train, infer) = data.split_train_infer();
         let forest = train_for_spec(&spec, &train, Scale::Smoke);
         (forest, infer.samples)
+    }
+
+    /// Same strategy, block size and ranked model predictions, bit for bit.
+    fn assert_same_selection(a: &InferenceResult, b: &InferenceResult) {
+        assert_eq!(a.strategy, b.strategy);
+        assert_eq!(a.run.geometry, b.run.geometry);
+        assert_eq!(a.ranked.len(), b.ranked.len());
+        for (x, y) in a.ranked.iter().zip(&b.ranked) {
+            assert_eq!(x.total().to_bits(), y.total().to_bits());
+        }
     }
 
     #[test]
@@ -1054,6 +1012,8 @@ mod tests {
         for (a, b) in after.predictions.iter().zip(&reference) {
             assert!((a - b).abs() < 1e-4);
         }
+        let mut fresh = Engine::tahoe(DeviceSpec::tesla_p100(), engine.forest().clone());
+        assert_same_selection(&after, &fresh.infer(&samples));
     }
 
     #[test]
@@ -1075,6 +1035,10 @@ mod tests {
         for (a, b) in before.predictions.iter().zip(&after.predictions) {
             assert!((a - b).abs() < 1e-4);
         }
+        // The rebuilt engine selects exactly what a fresh engine on the
+        // re-annotated forest selects.
+        let mut fresh = Engine::new(DeviceSpec::tesla_p100(), engine.forest().clone(), options);
+        assert_same_selection(&after, &fresh.infer(&samples));
     }
 
     #[test]
@@ -1086,60 +1050,6 @@ mod tests {
         let image_before = engine.device_forest().image_bytes();
         engine.refresh_probabilities();
         assert_eq!(engine.device_forest().image_bytes(), image_before);
-    }
-
-    #[test]
-    fn tuning_cache_hits_on_repeated_batches_without_changing_selection() {
-        // Default cache state (on, no override) — safe alongside parallel
-        // in-crate tests, which never flip the process-wide toggle.
-        let (forest, samples) = setup("letter");
-        let sink = TelemetrySink::recording();
-        let mut engine = Engine::with_telemetry(
-            DeviceSpec::tesla_p100(),
-            forest,
-            EngineOptions::tahoe(),
-            sink.clone(),
-        );
-        let first = engine.infer(&samples);
-        let second = engine.infer(&samples);
-        assert_eq!(engine.tuning_cache_len(), 1, "one shape, one entry");
-        assert_eq!(sink.counter_value(Counter::TuningCacheMisses), 1);
-        assert_eq!(sink.counter_value(Counter::TuningCacheHits), 1);
-        // The cached plan list is bit-identical to the fresh sweep's.
-        assert_eq!(first.strategy, second.strategy);
-        assert_eq!(first.ranked.len(), second.ranked.len());
-        for (a, b) in first.ranked.iter().zip(&second.ranked) {
-            assert_eq!(a.total().to_bits(), b.total().to_bits());
-        }
-        let decisions = sink.decisions().decisions;
-        assert_eq!(decisions.len(), 2);
-        assert!(!decisions[0].cache_hit, "first batch is a cold miss");
-        assert!(decisions[1].cache_hit, "second batch replays the cache");
-        assert_eq!(
-            decisions[0].chosen_block_threads,
-            decisions[1].chosen_block_threads
-        );
-    }
-
-    #[test]
-    fn forest_rebuild_invalidates_the_tuning_cache() {
-        let (forest, samples) = setup("letter");
-        let sink = TelemetrySink::recording();
-        let mut engine = Engine::with_telemetry(
-            DeviceSpec::tesla_p100(),
-            forest,
-            EngineOptions::tahoe(),
-            sink.clone(),
-        );
-        let _ = engine.infer(&samples);
-        let (forest2, _) = setup("letter");
-        engine.update_forest(forest2, None);
-        let _ = engine.infer(&samples);
-        assert_eq!(
-            sink.counter_value(Counter::TuningCacheMisses),
-            2,
-            "reconversion drops every cached entry"
-        );
     }
 
     #[test]
@@ -1183,13 +1093,7 @@ mod tests {
         // On an identical repeated batch the least-squares fit is exact, so
         // the calibrated error collapses to rounding noise.
         assert!(calibrated < 1e-6, "calibrated error is ~0: {calibrated}");
-        // A generation bump invalidates the cache: more than one miss.
-        assert!(sink.counter_value(Counter::TuningCacheMisses) > 1);
-        assert_eq!(
-            sink.counter_value(Counter::TuningCacheHits)
-                + sink.counter_value(Counter::TuningCacheMisses),
-            batches as u64
-        );
+        assert_eq!(sink.counter_value(Counter::EngineBatches), batches as u64);
     }
 
     #[test]
@@ -1199,5 +1103,7 @@ mod tests {
         let r = engine.infer(&samples);
         // §7.4: model evaluation is microseconds, not milliseconds.
         assert!(r.model_eval_ns < 5_000_000, "model eval {} ns", r.model_eval_ns);
+        // Re-tuning a repeated batch reproduces the selection bit for bit.
+        assert_same_selection(&r, &engine.infer(&samples));
     }
 }

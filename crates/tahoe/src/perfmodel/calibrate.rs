@@ -16,10 +16,10 @@
 //! Determinism: every observation derives from the simulated clock and the
 //! analytic model — never wall-clock — so a calibrated engine's decisions
 //! stay byte-identical at any worker count and across memo settings.
-//! Refits happen on a fixed observation cadence and the generation counter
-//! bumps only when a scale actually moves (relative change above
-//! [`CONVERGENCE_TOL`]), which is what lets generation-tagged tuning-cache
-//! entries stay valid across converged refits.
+//! Refits happen on a fixed observation cadence. A refit replaces the scales
+//! and bumps the generation counter only when some scale actually moves
+//! (relative change above [`CONVERGENCE_TOL`]), so the generation that tags
+//! each decision record counts real model changes, not refit attempts.
 
 use crate::perfmodel::Prediction;
 use crate::strategy::Strategy;
@@ -27,8 +27,9 @@ use crate::strategy::Strategy;
 /// Observations folded between refit attempts.
 pub const RECALIBRATE_INTERVAL: u64 = 8;
 
-/// Relative scale movement below which a refit is treated as converged and
-/// the generation (and therefore the tuning cache) is left untouched.
+/// Relative scale movement below which a refit is treated as converged: the
+/// scales and the generation are left untouched, so sub-tolerance noise in
+/// the drift stream cannot flip a selection.
 pub const CONVERGENCE_TOL: f64 = 1e-3;
 
 /// Fitted scales are clamped to this range: a correction outside it says the
@@ -95,7 +96,7 @@ impl Calibrator {
     }
 
     /// Bumped each time a refit moves at least one scale; tags decision
-    /// records and tuning-cache keys.
+    /// records.
     #[must_use]
     pub fn generation(&self) -> u64 {
         self.generation
@@ -142,7 +143,7 @@ impl Calibrator {
     /// Refits the scales once [`RECALIBRATE_INTERVAL`] observations have
     /// accumulated since the last attempt. Returns `true` — and bumps the
     /// generation — only when some scale moved more than [`CONVERGENCE_TOL`]
-    /// relatively; a converged refit leaves generation-tagged caches valid.
+    /// relatively; a converged refit keeps the current scales.
     pub fn maybe_recalibrate(&mut self) -> bool {
         if self.since_refit < RECALIBRATE_INTERVAL {
             return false;

@@ -22,9 +22,8 @@ cargo test --release --offline --locked --manifest-path servebench/Cargo.toml
 # profile_schema pins the profiler payload, timeseries_schema pins the
 # windowed sampler (DESIGN.md §2.14), decision_schema pins the
 # flight-recorder payload and its critical-path sum invariant (DESIGN.md
-# §2.15) plus the closed tuning loop's warm/cold and calibrated-engine
-# byte-diffs (DESIGN.md §2.16), and drift_audit bounds model-vs-simulator
-# error. property_based
+# §2.15) plus the calibrated engine's byte-diffs (DESIGN.md §2.16), and
+# drift_audit bounds model-vs-simulator error. property_based
 # rides along so the functional equivalence proofs (every
 # format/plan/strategy, classic and packed node encodings, vs the CPU
 # reference) hold in every cell too.
@@ -109,38 +108,20 @@ cargo run --release --bin tahoe-cli -- explain \
     | grep -q "chose '"
 grep -q '"calibration_generation"' "$FIG9_W1/serve_decisions.json"
 
-# Closed tuning loop (DESIGN.md §2.16). Warm (cache on, the default) vs
-# cold (TAHOE_TUNE_CACHE=0) decision exports may differ only in the
-# per-record cache_hit flags: with those lines stripped the two files must
-# be byte-identical — the cache replays the exact tune_all output, it never
-# re-derives it.
-TUNE_TMP=$(mktemp -d)
-TAHOE_TUNE_CACHE=1 cargo run --release --bin tahoe-cli -- serve \
-    --data letter --scale smoke --model "$FIG9_W1/model.json" \
-    --requests 200 --interarrival 50 \
-    --decisions "$TUNE_TMP/decisions_warm.json"
-TAHOE_TUNE_CACHE=0 cargo run --release --bin tahoe-cli -- serve \
-    --data letter --scale smoke --model "$FIG9_W1/model.json" \
-    --requests 200 --interarrival 50 \
-    --decisions "$TUNE_TMP/decisions_cold.json"
-sed '/"cache_hit"/d' "$TUNE_TMP/decisions_warm.json" > "$TUNE_TMP/warm_stripped.json"
-sed '/"cache_hit"/d' "$TUNE_TMP/decisions_cold.json" > "$TUNE_TMP/cold_stripped.json"
-cmp "$TUNE_TMP/warm_stripped.json" "$TUNE_TMP/cold_stripped.json"
-grep -q '"cache_hit": true' "$TUNE_TMP/decisions_warm.json"
-# Drift-driven recalibration end-to-end: a single-device calibrated serve
-# accumulates enough observations to refit (64-request batches, so 1000
-# requests cross the 8-observation interval twice), and report_md digests
-# the cache hit rate and the uncalibrated-vs-calibrated drift means from
-# the recorded decision_audit.json.
+# Drift-driven recalibration end-to-end (DESIGN.md §2.16): a single-device
+# calibrated serve accumulates enough observations to refit (64-request
+# batches, so 1000 requests cross the 8-observation interval twice), and
+# report_md digests the uncalibrated-vs-calibrated drift means from the
+# recorded decision_audit.json.
+CAL_TMP=$(mktemp -d)
 cargo run --release --bin tahoe-cli -- serve \
     --data letter --scale smoke --model "$FIG9_W1/model.json" \
     --requests 1000 --interarrival 50 --calibrate \
-    --decisions "$TUNE_TMP/decision_audit.json"
-grep -q '"calibration_generation": [1-9]' "$TUNE_TMP/decision_audit.json"
-TAHOE_RESULTS_DIR="$TUNE_TMP" cargo run --release -p tahoe-bench --bin report_md
-grep -q "tuning cache:" "$TUNE_TMP/SUMMARY.md"
-grep -q "calibration: mean |drift|" "$TUNE_TMP/SUMMARY.md"
-rm -rf "$TUNE_TMP"
+    --decisions "$CAL_TMP/decision_audit.json"
+grep -q '"calibration_generation": [1-9]' "$CAL_TMP/decision_audit.json"
+TAHOE_RESULTS_DIR="$CAL_TMP" cargo run --release -p tahoe-bench --bin report_md
+grep -q "calibration: mean |drift|" "$CAL_TMP/SUMMARY.md"
+rm -rf "$CAL_TMP"
 rm -rf "$FIG9_W1" "$FIG9_W4"
 
 # Bench regression gate, advisory: diff the committed results/ baseline

@@ -781,9 +781,8 @@ fn print_decision_report(export: &DecisionsExport, top: usize) {
             d.device,
             d.n_samples
         );
-        let cached = if d.cache_hit { "  [cache hit]" } else { "" };
         println!(
-            "    chose '{}' @ {} threads/block  predicted {:.1} us  simulated {:.1} us  drift {:+.1}%  gen {}{cached}",
+            "    chose '{}' @ {} threads/block  predicted {:.1} us  simulated {:.1} us  drift {:+.1}%  gen {}",
             d.chosen_strategy,
             d.chosen_block_threads,
             d.predicted_ns / 1e3,
@@ -834,13 +833,6 @@ fn print_decision_report(export: &DecisionsExport, top: usize) {
         println!("... and {} more decisions", export.decisions.len() - top);
     }
     if !export.decisions.is_empty() {
-        let hits = export.decisions.iter().filter(|d| d.cache_hit).count();
-        println!(
-            "tuning cache: {} of {} decisions served from cache ({:.1}%)",
-            hits,
-            export.decisions.len(),
-            100.0 * hits as f64 / export.decisions.len() as f64
-        );
         let mean_abs = |records: &[&DecisionRecord]| {
             records.iter().map(|d| d.relative_error.abs()).sum::<f64>()
                 / records.len() as f64

@@ -68,7 +68,6 @@ fn decisions_export_matches_the_golden_schema() {
             "simulated_ns",
             "relative_error",
             "calibration_generation",
-            "cache_hit",
         ] {
             assert!(!d[key].is_null(), "decision carries '{key}': {d:?}");
         }
@@ -205,6 +204,30 @@ fn decisions_export_round_trips_through_serde() {
     let text = sink.decisions_json();
     let back = DecisionsExport::from_json(&text).expect("export parses");
     assert_eq!(back, export, "round-trip must be lossless");
+}
+
+/// Exports written before the tuning-decision cache was removed carry a
+/// per-record `cache_hit` flag; they must still load, with the flag ignored.
+#[test]
+fn legacy_cache_hit_key_still_loads() {
+    let sink = recorded_run();
+    let mut doc: Value = serde_json::from_str(&sink.decisions_json()).expect("export parses");
+    let Value::Object(entries) = &mut doc else {
+        panic!("export is a JSON object");
+    };
+    for (key, val) in entries.iter_mut() {
+        if let (true, Value::Array(decisions)) = (key == "decisions", val) {
+            for d in decisions.iter_mut() {
+                if let Value::Object(fields) = d {
+                    fields.push(("cache_hit".to_string(), Value::Bool(true)));
+                }
+            }
+        }
+    }
+    let legacy = serde_json::to_string(&doc).expect("serializes");
+    assert!(legacy.contains("\"cache_hit\":true"), "fixture carries the legacy key");
+    let back = DecisionsExport::from_json(&legacy).expect("legacy export parses");
+    assert_eq!(back, sink.decisions(), "the legacy key changes nothing");
 }
 
 #[test]

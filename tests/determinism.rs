@@ -31,8 +31,6 @@ use tahoe::serving::{BatchingPolicy, ClusterServingSim, ServingSim};
 use tahoe::strategy::testutil::{context, Fixture};
 use tahoe::strategy::{self, LaunchContext, Strategy, StrategyRun};
 use tahoe::telemetry::{TelemetryCtx, TelemetrySink, PID_ENGINE};
-use tahoe::tune::{cache_key, set_tune_cache};
-use tahoe::ModelInputs;
 use tahoe_gpu_sim::device::DeviceSpec;
 use tahoe_gpu_sim::kernel::{Detail, KernelResult};
 use tahoe_gpu_sim::memo::set_sim_memo;
@@ -397,29 +395,6 @@ fn cluster_serving_exports() -> (String, String, String, String, String) {
     )
 }
 
-/// Recursively resets every `cache_hit` flag of a decisions export: whether a
-/// tuning decision was replayed from the cache is the one thing the cache may
-/// change (DESIGN.md §2.16).
-fn clear_cache_hits(v: &mut Value) {
-    match v {
-        Value::Object(entries) => {
-            for (key, val) in entries.iter_mut() {
-                if key == "cache_hit" {
-                    *val = Value::Bool(false);
-                } else {
-                    clear_cache_hits(val);
-                }
-            }
-        }
-        Value::Array(items) => {
-            for item in items.iter_mut() {
-                clear_cache_hits(item);
-            }
-        }
-        _ => {}
-    }
-}
-
 /// 64-bit FNV-1a over a string's bytes: a stable, dependency-free
 /// fingerprint for pinning an export's exact bytes.
 fn fnv1a(text: &str) -> u64 {
@@ -433,9 +408,9 @@ fn fnv1a(text: &str) -> u64 {
 /// Chrome trace, metrics, kernel profiles, windowed time series and the
 /// flight-recorder decisions all fingerprint to fixed constants. What may
 /// legitimately vary is normalized first: the engine's wall-clock host track
-/// (`PID_ENGINE` tid 0) is dropped from the trace, memo accounting is zeroed
-/// and memo series are stripped, and `cache_hit` flags are cleared, so the
-/// constants hold at any `TAHOE_SIM_THREADS` × `TAHOE_SIM_MEMO` setting.
+/// (`PID_ENGINE` tid 0) is dropped from the trace, and memo accounting is
+/// zeroed and memo series are stripped, so the constants hold at any
+/// `TAHOE_SIM_THREADS` × `TAHOE_SIM_MEMO` setting.
 #[test]
 fn single_engine_serving_exports_are_pinned() {
     let _guard = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -463,9 +438,7 @@ fn single_engine_serving_exports_are_pinned() {
             }
         }
     }
-    let mut decisions: Value =
-        serde_json::from_str(&sink.decisions_json()).expect("decisions parse");
-    clear_cache_hits(&mut decisions);
+    let decisions: Value = serde_json::from_str(&sink.decisions_json()).expect("decisions parse");
     let fingerprint = |v: &Value| fnv1a(&serde_json::to_string(v).expect("serializes"));
     let got = [
         ("trace", fingerprint(&trace)),
@@ -476,10 +449,10 @@ fn single_engine_serving_exports_are_pinned() {
     ];
     let want = [
         ("trace", 7_558_514_781_351_136_944),
-        ("metrics", 5_191_924_975_475_901_831),
+        ("metrics", 15_975_621_677_599_587_991),
         ("profiles", 1_488_832_044_322_112_861),
         ("timeseries", 13_625_362_913_152_064_068),
-        ("decisions", 5_271_231_998_148_582_862),
+        ("decisions", 10_292_474_204_207_688_920),
     ];
     assert_eq!(got, want, "single-engine serving exports moved");
 }
@@ -519,116 +492,6 @@ fn memo_cache_keys_on_sample_content() {
         (hits, misses),
         (6, 2),
         "a single changed feature value must miss exactly its own block"
-    );
-}
-
-/// Tuning-decision cache discrimination (DESIGN.md §2.16), mirroring the
-/// one-ULP memo probe above: repeated batches share one entry, while a batch
-/// shape one sample apart, the packed node encoding, a different device, and
-/// a bumped calibration generation must all key distinct entries — no false
-/// sharing.
-#[test]
-fn tuning_cache_keys_on_forest_batch_and_generation() {
-    let _guard = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    // Key-level probes: every piece of key material must move the key.
-    let classic = Fixture::trained("letter");
-    let packed = Fixture::trained_packed("letter");
-    let stats = classic.forest.stats();
-    let inputs = ModelInputs::gather(&classic.device_forest, &stats, &classic.samples);
-    let key = |fx: &Fixture, inputs: &ModelInputs, device: &DeviceSpec, generation: u64| {
-        cache_key(&fx.device_forest, device, inputs, Detail::Sampled(4), generation)
-    };
-    let base = key(&classic, &inputs, &classic.device, 0);
-    assert_eq!(
-        base,
-        key(&classic, &inputs, &classic.device, 0),
-        "the key is a pure function of its material"
-    );
-    let mut one_more = inputs;
-    one_more.n_batch += 1.0;
-    assert_ne!(
-        base,
-        key(&classic, &one_more, &classic.device, 0),
-        "batch shapes one sample apart must not share an entry"
-    );
-    let packed_inputs = ModelInputs::gather(&packed.device_forest, &stats, &packed.samples);
-    assert_ne!(
-        base,
-        key(&packed, &packed_inputs, &packed.device, 0),
-        "classic and packed node encodings must not share an entry"
-    );
-    assert_ne!(
-        base,
-        key(&classic, &inputs, &DeviceSpec::tesla_v100(), 0),
-        "different devices must not share an entry"
-    );
-    assert_ne!(
-        base,
-        key(&classic, &inputs, &classic.device, 1),
-        "calibration generations must not share an entry"
-    );
-
-    // Behavioral probe through the engine: a repeated batch hits, a batch
-    // one sample smaller occupies its own entry.
-    set_tune_cache(Some(true));
-    let sink = TelemetrySink::recording();
-    let mut engine = Engine::with_telemetry(
-        DeviceSpec::tesla_p100(),
-        classic.forest.clone(),
-        EngineOptions::tahoe(),
-        sink.clone(),
-    );
-    let full = &classic.samples;
-    let smaller_idx: Vec<usize> = (0..full.n_samples() - 1).collect();
-    let smaller = full.select(&smaller_idx);
-    let _ = engine.infer(full);
-    let _ = engine.infer(full);
-    let _ = engine.infer(&smaller);
-    set_tune_cache(None);
-    assert_eq!(engine.tuning_cache_len(), 2, "two batch shapes, two entries");
-    let snap = sink.snapshot();
-    assert_eq!(snap.counters["tuning_cache_hits"], 1, "the repeated batch hits");
-    assert_eq!(snap.counters["tuning_cache_misses"], 2, "each shape misses once");
-}
-
-/// Warm (cache on) vs cold (cache off) runs may differ only in the
-/// `cache_hit` flags and the cache counters: selection, predictions, drift,
-/// and every simulated result are byte-identical (DESIGN.md §2.16).
-#[test]
-fn tuning_cache_changes_nothing_but_its_own_accounting() {
-    let _guard = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let fx = Fixture::trained("letter");
-    let run = |cache: bool| -> (String, Vec<f64>) {
-        set_tune_cache(Some(cache));
-        let sink = TelemetrySink::recording();
-        let mut engine = Engine::with_telemetry(
-            DeviceSpec::tesla_p100(),
-            fx.forest.clone(),
-            EngineOptions::tahoe(),
-            sink.clone(),
-        );
-        let mut totals = Vec::new();
-        for _ in 0..3 {
-            totals.push(engine.infer(&fx.samples).run.kernel.total_ns);
-        }
-        set_tune_cache(None);
-        (sink.decisions_json(), totals)
-    };
-    let (warm, warm_totals) = run(true);
-    let (cold, cold_totals) = run(false);
-    for (a, b) in warm_totals.iter().zip(&cold_totals) {
-        assert_eq!(a.to_bits(), b.to_bits(), "the cache must not change simulated results");
-    }
-    assert_ne!(warm, cold, "the warm run records its cache hits");
-    let normalize = |json: &str| -> Value {
-        let mut v: Value = serde_json::from_str(json).expect("decisions parse");
-        clear_cache_hits(&mut v);
-        v
-    };
-    assert_eq!(
-        normalize(&warm),
-        normalize(&cold),
-        "decisions differ beyond the cache_hit flag"
     );
 }
 
