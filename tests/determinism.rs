@@ -27,10 +27,12 @@ use std::sync::Mutex;
 use serde_json::Value;
 use tahoe::cluster::GpuCluster;
 use tahoe::engine::{Engine, EngineOptions};
+use tahoe::rearrange::similarity_order;
 use tahoe::serving::{BatchingPolicy, ClusterServingSim, ServingSim};
 use tahoe::strategy::testutil::{context, Fixture};
 use tahoe::strategy::{self, LaunchContext, Strategy, StrategyRun};
 use tahoe::telemetry::{TelemetryCtx, TelemetrySink, PID_ENGINE};
+use tahoe_forest::Node;
 use tahoe_gpu_sim::device::DeviceSpec;
 use tahoe_gpu_sim::kernel::{Detail, KernelResult};
 use tahoe_gpu_sim::memo::set_sim_memo;
@@ -395,10 +397,10 @@ fn cluster_serving_exports() -> (String, String, String, String, String) {
     )
 }
 
-/// 64-bit FNV-1a over a string's bytes: a stable, dependency-free
+/// 64-bit FNV-1a over a byte string: a stable, dependency-free
 /// fingerprint for pinning an export's exact bytes.
-fn fnv1a(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
     })
 }
@@ -439,7 +441,7 @@ fn single_engine_serving_exports_are_pinned() {
         }
     }
     let decisions: Value = serde_json::from_str(&sink.decisions_json()).expect("decisions parse");
-    let fingerprint = |v: &Value| fnv1a(&serde_json::to_string(v).expect("serializes"));
+    let fingerprint = |v: &Value| fnv1a(serde_json::to_string(v).expect("serializes").as_bytes());
     let got = [
         ("trace", fingerprint(&trace)),
         ("metrics", fingerprint(&normalized(&sink.metrics_json()))),
@@ -455,6 +457,81 @@ fn single_engine_serving_exports_are_pinned() {
         ("decisions", 10_292_474_204_207_688_920),
     ];
     assert_eq!(got, want, "single-engine serving exports moved");
+}
+
+/// Pins the adaptive refresh path end to end (Algorithm 1 line 16, then the
+/// §4.2 re-layout): an engine with probability tracking on infers four
+/// batches, re-annotates its forest from the observed edge counts and
+/// rebuilds the adaptive layout. The refreshed forest's similarity order,
+/// the device image's tree roots and bytes, and every re-estimated
+/// `left_prob` bit pattern fingerprint to fixed constants, so a rewrite of
+/// edge counting, LSH collision counting or the ordering cannot silently
+/// change the layout. None of these depend on the simulator, so the
+/// constants hold at any `TAHOE_SIM_THREADS` × `TAHOE_SIM_MEMO` setting.
+#[test]
+fn adaptive_refresh_layout_is_pinned() {
+    let mut got = Vec::new();
+    for dataset in ["higgs", "letter"] {
+        let fx = Fixture::trained(dataset);
+        let options = EngineOptions {
+            track_probabilities: true,
+            ..EngineOptions::tahoe()
+        };
+        let mut engine = Engine::new(DeviceSpec::tesla_p100(), fx.forest.clone(), options);
+        let n = fx.samples.n_samples();
+        for batch in 0..4 {
+            let rows: Vec<usize> = (batch * n / 4..(batch + 1) * n / 4).collect();
+            engine.infer(&fx.samples.select(&rows));
+        }
+        assert_eq!(engine.observed_samples(), n as u64);
+        engine.refresh_probabilities();
+
+        let order = similarity_order(engine.forest(), &options.similarity);
+        let order_bytes: Vec<u8> = order.iter().flat_map(|&t| (t as u64).to_le_bytes()).collect();
+        let roots: Vec<u8> =
+            engine.device_forest().roots().iter().flat_map(|r| r.to_le_bytes()).collect();
+        let left_probs: Vec<u8> = engine
+            .forest()
+            .trees()
+            .iter()
+            .flat_map(|t| t.nodes())
+            .filter_map(|node| match *node {
+                Node::Decision { left_prob, .. } => Some(left_prob.to_bits().to_le_bytes()),
+                Node::Leaf { .. } => None,
+            })
+            .flatten()
+            .collect();
+        got.push((
+            dataset,
+            [
+                fnv1a(&order_bytes),
+                fnv1a(&roots),
+                fnv1a(&engine.device_forest().encode_image()),
+                fnv1a(&left_probs),
+            ],
+        ));
+    }
+    let want = [
+        (
+            "higgs",
+            [
+                17_484_007_656_726_893_061,
+                17_730_087_810_143_058_725,
+                14_446_473_268_428_745_236,
+                16_373_988_183_020_090_613,
+            ],
+        ),
+        (
+            "letter",
+            [
+                10_104_249_897_811_246_181,
+                17_730_087_810_143_058_725,
+                11_576_616_952_876_279_431,
+                11_707_770_263_096_929_757,
+            ],
+        ),
+    ];
+    assert_eq!(got, want, "refreshed adaptive layout moved");
 }
 
 /// End-to-end memo-key discrimination: a batch of 256 identical rows makes
