@@ -45,24 +45,26 @@ impl EdgeCounter {
         for (t, tree) in forest.trees().iter().enumerate() {
             let visits = &mut self.visits[t];
             let lefts = &mut self.lefts[t];
-            assert_eq!(tree.n_nodes(), visits.len(), "tree {t} shape changed");
-            for i in 0..samples.n_samples() {
-                let row = samples.row(i);
-                let mut id = 0u32;
-                loop {
-                    let node = tree.node(id);
-                    match node.route(row) {
-                        None => break,
-                        Some(next) => {
-                            visits[id as usize] += 1;
-                            if let Some((l, _)) = node.children() {
-                                if next == l {
-                                    lefts[id as usize] += 1;
-                                }
-                            }
-                            id = next;
-                        }
-                    }
+            let nodes = tree.nodes();
+            assert_eq!(nodes.len(), visits.len(), "tree {t} shape changed");
+            for row in samples.rows() {
+                let mut id = 0usize;
+                // The routing rule of `Node::route`: a missing value takes
+                // the default path.
+                while let Node::Decision {
+                    attribute,
+                    threshold,
+                    default_left,
+                    left,
+                    right,
+                    ..
+                } = nodes[id]
+                {
+                    let v = row[attribute as usize];
+                    let go_left = if v.is_nan() { default_left } else { v < threshold };
+                    visits[id] += 1;
+                    lefts[id] += u32::from(go_left);
+                    id = if go_left { left } else { right } as usize;
                 }
             }
         }
@@ -253,6 +255,61 @@ mod tests {
             0.0,
         );
         let _ = counter.annotate(&bigger);
+    }
+
+    #[test]
+    fn observe_matches_counts_rebuilt_from_prediction_paths() {
+        use tahoe_datasets::{DatasetSpec, Scale};
+        // allstate trains with missing values, so both defaults occur.
+        let spec = DatasetSpec::by_name("allstate").unwrap();
+        let data = spec.generate(Scale::Smoke);
+        let (train, infer) = data.split_train_infer();
+        let forest = crate::train_for_spec(&spec, &train, Scale::Smoke);
+        // Blank, in every third sample, one attribute tested by a
+        // default-left node and one tested by a default-right node.
+        let decisions = || {
+            forest.trees().iter().flat_map(Tree::nodes).filter_map(|n| match *n {
+                Node::Decision { attribute, default_left, .. } => Some((attribute, default_left)),
+                Node::Leaf { .. } => None,
+            })
+        };
+        let nan_attrs: Vec<u32> = [true, false]
+            .iter()
+            .map(|&dl| decisions().find(|&(_, d)| d == dl).expect("both defaults occur").0)
+            .collect();
+        let mut samples = infer.samples;
+        for i in (0..samples.n_samples()).step_by(3) {
+            for &a in &nan_attrs {
+                samples.row_mut(i)[a as usize] = f32::NAN;
+            }
+        }
+
+        let mut counter = EdgeCounter::new(&forest);
+        counter.observe(&forest, &samples);
+
+        let mut visits: Vec<Vec<u32>> =
+            forest.trees().iter().map(|t| vec![0; t.n_nodes()]).collect();
+        let mut lefts = visits.clone();
+        // Missing values routed at default-left and default-right nodes.
+        let mut nan_routes = [0u32; 2];
+        for (t, tree) in forest.trees().iter().enumerate() {
+            for row in samples.rows() {
+                for step in tree.predict_path(row).windows(2) {
+                    let Node::Decision { attribute, default_left, left, .. } = *tree.node(step[0])
+                    else {
+                        unreachable!("a path only steps out of decision nodes");
+                    };
+                    if row[attribute as usize].is_nan() {
+                        nan_routes[usize::from(default_left)] += 1;
+                    }
+                    visits[t][step[0] as usize] += 1;
+                    lefts[t][step[0] as usize] += u32::from(step[1] == left);
+                }
+            }
+        }
+        assert!(nan_routes.iter().all(|&n| n > 0), "NaNs reach both defaults: {nan_routes:?}");
+        assert_eq!(counter.visits, visits);
+        assert_eq!(counter.lefts, lefts);
     }
 
     #[test]

@@ -97,7 +97,7 @@ pub fn similarity_order_timed(
     report.simhash_ns = t0.elapsed().as_nanos() as u64;
     let t1 = Instant::now();
     let counts = lsh::count_collisions(&normalized, params.m_chunks);
-    let order = order::order_by_similarity(forest.n_trees(), &counts);
+    let order = order::order_by_similarity(&counts);
     report.lsh_ns = t1.elapsed().as_nanos() as u64;
     (order, report)
 }

@@ -9,36 +9,37 @@
 //! unplaced tree, restart from the most similar remaining pair (or any
 //! remaining tree). Ties break toward lower indices for determinism.
 
-use super::lsh::{pair_count, CollisionCounts};
+use std::cmp::Reverse;
 
-/// Produces a tree order (layout position → original index) from collision
-/// counts.
+use super::lsh::CollisionCounts;
+
+/// Produces a tree order (layout position → original index) over the trees
+/// `counts` covers.
 #[must_use]
-pub fn order_by_similarity(n_trees: usize, counts: &CollisionCounts) -> Vec<usize> {
-    if n_trees == 0 {
-        return Vec::new();
-    }
+pub fn order_by_similarity(counts: &CollisionCounts) -> Vec<usize> {
+    let n_trees = counts.n_trees();
     let mut placed = vec![false; n_trees];
     let mut order = Vec::with_capacity(n_trees);
-    // Sorted pair list: highest count first, then lexicographic.
-    let mut pairs: Vec<(u32, (u32, u32))> = counts
-        .iter()
-        .filter(|&(&(a, b), _)| (a as usize) < n_trees && (b as usize) < n_trees)
-        .map(|(&p, &c)| (c, p))
-        .collect();
-    pairs.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+    // Ranked pair list: highest count first, then lexicographic — the
+    // triangle walk yields pairs in ascending order and the sort is stable.
+    // u32 ids halve the entries the sort moves (all ~80k pairs of a
+    // 400-tree forest collide at 2-bit chunks).
+    let mut pairs: Vec<(u32, u32, u32)> =
+        counts.pairs().map(|(c, a, b)| (c, a as u32, b as u32)).collect();
+    pairs.sort_by_key(|&(c, ..)| Reverse(c));
     let mut pair_cursor = 0usize;
     while order.len() < n_trees {
         // Start (or restart) the chain from the best unplaced pair.
         let mut tail: Option<usize> = None;
         while pair_cursor < pairs.len() {
-            let (_, (a, b)) = pairs[pair_cursor];
-            if !placed[a as usize] && !placed[b as usize] {
-                placed[a as usize] = true;
-                placed[b as usize] = true;
-                order.push(a as usize);
-                order.push(b as usize);
-                tail = Some(b as usize);
+            let (_, a, b) = pairs[pair_cursor];
+            let (a, b) = (a as usize, b as usize);
+            if !placed[a] && !placed[b] {
+                placed[a] = true;
+                placed[b] = true;
+                order.push(a);
+                order.push(b);
+                tail = Some(b);
                 break;
             }
             pair_cursor += 1;
@@ -55,14 +56,12 @@ pub fn order_by_similarity(n_trees: usize, counts: &CollisionCounts) -> Vec<usiz
         };
         // Extend the chain while the tail has similar unplaced trees.
         loop {
+            // Only a strictly higher count displaces the best, so ties keep
+            // the lowest index.
             let mut best: Option<(u32, usize)> = None;
-            #[allow(clippy::needless_range_loop)] // `t` is also the tree id.
-            for t in 0..n_trees {
-                if placed[t] {
-                    continue;
-                }
-                let c = pair_count(counts, tail as u32, t as u32);
-                if c > 0 && best.is_none_or(|(bc, bt)| c > bc || (c == bc && t < bt)) {
+            for (t, _) in placed.iter().enumerate().filter(|&(_, &p)| !p) {
+                let c = counts.pair_count(tail, t);
+                if c > 0 && best.is_none_or(|(bc, _)| c > bc) {
                     best = Some((c, t));
                 }
             }
@@ -82,24 +81,27 @@ pub fn order_by_similarity(n_trees: usize, counts: &CollisionCounts) -> Vec<usiz
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
 
-    fn counts(pairs: &[((u32, u32), u32)]) -> CollisionCounts {
-        pairs.iter().copied().collect::<HashMap<_, _>>()
+    fn counts(n_trees: usize, pairs: &[((usize, usize), u32)]) -> CollisionCounts {
+        let mut counts = CollisionCounts::new(n_trees);
+        for &((a, b), c) in pairs {
+            counts.add(a, b, c);
+        }
+        counts
     }
 
     #[test]
     fn fig3_example_order() {
         // Paper Fig. 3: collisions T1&T2 = 0, T2&T3 = 2, T1&T3 = 1
         // → order T2, T3, T1 (indices 1, 2, 0).
-        let c = counts(&[((0, 1), 0), ((1, 2), 2), ((0, 2), 1)]);
-        assert_eq!(order_by_similarity(3, &c), vec![1, 2, 0]);
+        let c = counts(3, &[((0, 1), 0), ((1, 2), 2), ((0, 2), 1)]);
+        assert_eq!(order_by_similarity(&c), vec![1, 2, 0]);
     }
 
     #[test]
     fn order_is_a_permutation() {
-        let c = counts(&[((0, 3), 5), ((1, 2), 4), ((4, 5), 1)]);
-        let order = order_by_similarity(7, &c);
+        let c = counts(7, &[((0, 3), 5), ((1, 2), 4), ((4, 5), 1)]);
+        let order = order_by_similarity(&c);
         let mut sorted = order.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..7).collect::<Vec<_>>());
@@ -108,33 +110,43 @@ mod tests {
     #[test]
     fn chain_follows_similarity() {
         // 0-1 strongest, then 1-2, then 2-3.
-        let c = counts(&[((0, 1), 9), ((1, 2), 5), ((2, 3), 3)]);
-        assert_eq!(order_by_similarity(4, &c), vec![0, 1, 2, 3]);
+        let c = counts(4, &[((0, 1), 9), ((1, 2), 5), ((2, 3), 3)]);
+        assert_eq!(order_by_similarity(&c), vec![0, 1, 2, 3]);
     }
 
     #[test]
     fn no_collisions_preserves_index_order() {
-        let c = CollisionCounts::new();
-        assert_eq!(order_by_similarity(4, &c), vec![0, 1, 2, 3]);
+        assert_eq!(order_by_similarity(&CollisionCounts::new(4)), vec![0, 1, 2, 3]);
     }
 
     #[test]
     fn disjoint_groups_form_separate_chains() {
-        let c = counts(&[((2, 3), 9), ((0, 1), 8)]);
-        let order = order_by_similarity(4, &c);
+        let c = counts(4, &[((2, 3), 9), ((0, 1), 8)]);
+        let order = order_by_similarity(&c);
         assert_eq!(order, vec![2, 3, 0, 1]);
     }
 
     #[test]
+    fn equal_counts_break_toward_lower_pairs() {
+        // All three pairs tie: the chain starts from (0, 1), the lowest
+        // pair, then extends 1 → 2 → 3.
+        let c = counts(4, &[((2, 3), 2), ((1, 2), 2), ((0, 1), 2)]);
+        assert_eq!(order_by_similarity(&c), vec![0, 1, 2, 3]);
+        // Ties while extending pick the lowest-indexed tree.
+        let c = counts(4, &[((0, 1), 3), ((1, 3), 1), ((1, 2), 1)]);
+        assert_eq!(order_by_similarity(&c), vec![0, 1, 2, 3]);
+    }
+
+    #[test]
     fn empty_input() {
-        assert!(order_by_similarity(0, &CollisionCounts::new()).is_empty());
+        assert!(order_by_similarity(&CollisionCounts::new(0)).is_empty());
     }
 
     #[test]
     fn determinism() {
-        let c = counts(&[((0, 1), 2), ((2, 3), 2), ((1, 2), 2)]);
-        let a = order_by_similarity(4, &c);
-        let b = order_by_similarity(4, &c);
+        let c = counts(4, &[((0, 1), 2), ((2, 3), 2), ((1, 2), 2)]);
+        let a = order_by_similarity(&c);
+        let b = order_by_similarity(&c);
         assert_eq!(a, b);
     }
 }

@@ -23,13 +23,11 @@ pub fn pairwise_counts(forest: &Forest, t_nodes: usize) -> CollisionCounts {
         .iter()
         .map(|t| tokenize(t, t_nodes).into_iter().map(|tok| tok.bytes).collect())
         .collect();
-    let mut counts = CollisionCounts::new();
+    let mut counts = CollisionCounts::new(token_sets.len());
     for a in 0..token_sets.len() {
         for b in a + 1..token_sets.len() {
             let inter = token_sets[a].intersection(&token_sets[b]).count() as u32;
-            if inter > 0 {
-                counts.insert((a as u32, b as u32), inter);
-            }
+            counts.add(a, b, inter);
         }
     }
     counts
@@ -38,8 +36,7 @@ pub fn pairwise_counts(forest: &Forest, t_nodes: usize) -> CollisionCounts {
 /// Tree order from exact pairwise comparison.
 #[must_use]
 pub fn pairwise_order(forest: &Forest, t_nodes: usize) -> Vec<usize> {
-    let counts = pairwise_counts(forest, t_nodes);
-    order_by_similarity(forest.n_trees(), &counts)
+    order_by_similarity(&pairwise_counts(forest, t_nodes))
 }
 
 /// Brute-force pairwise similarity, as the paper times it (§4.2: "up to 19
@@ -64,7 +61,7 @@ pub fn brute_force_counts(forest: &Forest) -> CollisionCounts {
                 .collect()
         })
         .collect();
-    let mut counts = CollisionCounts::new();
+    let mut counts = CollisionCounts::new(keys.len());
     for a in 0..keys.len() {
         for b in a + 1..keys.len() {
             let mut matches = 0u32;
@@ -75,9 +72,7 @@ pub fn brute_force_counts(forest: &Forest) -> CollisionCounts {
                     }
                 }
             }
-            if matches > 0 {
-                counts.insert((a as u32, b as u32), matches);
-            }
+            counts.add(a, b, matches);
         }
     }
     counts
@@ -86,8 +81,7 @@ pub fn brute_force_counts(forest: &Forest) -> CollisionCounts {
 /// Tree order from the brute-force comparison.
 #[must_use]
 pub fn brute_force_order(forest: &Forest) -> Vec<usize> {
-    let counts = brute_force_counts(forest);
-    order_by_similarity(forest.n_trees(), &counts)
+    order_by_similarity(&brute_force_counts(forest))
 }
 
 /// Mean exact similarity of adjacent trees under an order — the metric by
@@ -99,7 +93,7 @@ pub fn adjacency_score(order: &[usize], counts: &CollisionCounts) -> f64 {
     }
     let total: u64 = order
         .windows(2)
-        .map(|w| u64::from(super::lsh::pair_count(counts, w[0] as u32, w[1] as u32)))
+        .map(|w| u64::from(counts.pair_count(w[0], w[1])))
         .sum();
     total as f64 / (order.len() - 1) as f64
 }
@@ -136,8 +130,8 @@ mod tests {
             0.0,
         );
         let counts = pairwise_counts(&forest, 2);
-        let c01 = super::super::lsh::pair_count(&counts, 0, 1);
-        let c02 = super::super::lsh::pair_count(&counts, 0, 2);
+        let c01 = counts.pair_count(0, 1);
+        let c02 = counts.pair_count(0, 2);
         assert!(c01 > 0);
         assert_eq!(c02, 0, "different attributes share no tokens");
     }
@@ -180,6 +174,6 @@ mod tests {
         let forest = train_for_spec(&spec, &data, Scale::Smoke);
         let counts = pairwise_counts(&forest, 2);
         // Trees trained on the same data share at least some tokens.
-        assert!(!counts.is_empty());
+        assert!(counts.pairs().next().is_some());
     }
 }
