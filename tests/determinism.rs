@@ -534,6 +534,102 @@ fn adaptive_refresh_layout_is_pinned() {
     assert_eq!(got, want, "refreshed adaptive layout moved");
 }
 
+/// Pins Algorithm 1's search (lines 8–15): the ranked selection and the
+/// audited ladder over smoke letter/higgs/cup98 × K80/P100/V100 × batch
+/// sizes {1, 64, 4096}, with and without a fitted calibrator, plus one
+/// NaN-poisoned hardware profile. Every prediction term is fingerprinted by
+/// its bits, so a rewrite of the tuner cannot silently change a pick, a
+/// tie-break, a block size or a rejection reason. Closed-form model
+/// evaluation only, so the constants hold at any `TAHOE_SIM_THREADS` ×
+/// `TAHOE_SIM_MEMO` setting.
+#[test]
+fn tuner_ranking_and_ladder_are_pinned() {
+    use tahoe::perfmodel::calibrate::RECALIBRATE_INTERVAL;
+    use tahoe::perfmodel::{Calibrator, ModelInputs, Prediction};
+    use tahoe::tune;
+    use tahoe_gpu_sim::{measure, MeasuredParams};
+
+    fn push_prediction(bytes: &mut Vec<u8>, p: &Prediction) {
+        for term in [p.t_smem, p.t_gmem, p.t_serial, p.t_b_redu, p.t_g_redu] {
+            bytes.extend(term.to_bits().to_le_bytes());
+        }
+    }
+    /// Appends one search's ranked output and audited ladder to the
+    /// running byte strings.
+    fn record(
+        ctx: &LaunchContext<'_>,
+        inputs: &ModelInputs,
+        hw: &MeasuredParams,
+        cal: Option<&Calibrator>,
+        bytes: &mut [Vec<u8>; 2],
+    ) {
+        let [ranked, ladder] = bytes;
+        for (s, threads, p) in tune::tune_all_with(ctx, inputs, hw, cal) {
+            ranked.extend(s.name().as_bytes());
+            ranked.extend((threads as u64).to_le_bytes());
+            push_prediction(ranked, &p);
+        }
+        for c in tune::sweep_candidates(ctx, inputs, hw, cal) {
+            ladder.extend(c.strategy.name().as_bytes());
+            ladder.extend((c.block_threads as u64).to_le_bytes());
+            match c.outcome {
+                Ok(p) => push_prediction(ladder, &p),
+                Err(reason) => ladder.extend(reason.as_bytes()),
+            }
+        }
+    }
+
+    // A calibrator whose fitted scales differ per strategy (one clamped),
+    // so calibration can re-order both the ladder and the ranking.
+    let mut cal = Calibrator::new();
+    let ratios = [3.0, 0.5, 1.7, 0.1];
+    for i in 0..RECALIBRATE_INTERVAL as usize {
+        let k = ratios[i % ratios.len()];
+        cal.observe(Strategy::ALL[i % Strategy::ALL.len()], 100.0, 100.0 * k);
+    }
+    assert!(cal.maybe_recalibrate(), "the fit moves the scales");
+
+    let devices = [DeviceSpec::tesla_k80(), DeviceSpec::tesla_p100(), DeviceSpec::tesla_v100()];
+    let hws: Vec<MeasuredParams> = devices.iter().map(measure).collect();
+    let fingerprint = |bytes: &[Vec<u8>; 2]| [fnv1a(&bytes[0]), fnv1a(&bytes[1])];
+    let mut got = Vec::new();
+    for dataset in ["letter", "higgs", "cup98"] {
+        let mut fx = Fixture::trained(dataset);
+        let pool = fx.samples.clone();
+        let stats = fx.forest.stats();
+        let mut bytes = [Vec::new(), Vec::new()];
+        for batch in [1usize, 64, 4096] {
+            let rows: Vec<usize> = (0..batch).map(|i| i % pool.n_samples()).collect();
+            fx.samples = pool.select(&rows);
+            let inputs = ModelInputs::gather(&fx.device_forest, &stats, &fx.samples);
+            for (device, hw) in devices.iter().zip(&hws) {
+                let mut ctx = context(&fx, Detail::Sampled(1));
+                ctx.device = device;
+                for calibrated in [None, Some(&cal)] {
+                    record(&ctx, &inputs, hw, calibrated, &mut bytes);
+                }
+            }
+        }
+        got.push((dataset, fingerprint(&bytes)));
+        if dataset == "letter" {
+            // A NaN measured constant poisons every prediction touching it.
+            fx.samples = pool.select(&(0..64).collect::<Vec<_>>());
+            let inputs = ModelInputs::gather(&fx.device_forest, &stats, &fx.samples);
+            let poisoned = MeasuredParams { lat_gmem: f64::NAN, ..hws[1] };
+            let mut bytes = [Vec::new(), Vec::new()];
+            record(&context(&fx, Detail::Sampled(1)), &inputs, &poisoned, None, &mut bytes);
+            got.push(("poisoned", fingerprint(&bytes)));
+        }
+    }
+    let want = [
+        ("letter", [17_234_053_643_338_526_113, 1_002_979_018_183_226_875]),
+        ("poisoned", [12_411_137_413_925_139_220, 7_445_724_472_132_589_364]),
+        ("higgs", [3_818_131_505_453_788_586, 11_106_790_528_134_272_812]),
+        ("cup98", [11_238_522_469_834_543_367, 6_662_353_467_048_671_959]),
+    ];
+    assert_eq!(got, want, "tuner ranking or audited ladder moved");
+}
+
 /// End-to-end memo-key discrimination: a batch of 256 identical rows makes
 /// every direct-strategy block's window bit-identical (7 hits out of 8
 /// blocks), and flipping a *single* sample feature value inside one block's
