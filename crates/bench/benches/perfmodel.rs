@@ -4,8 +4,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use tahoe::perfmodel::{predict, rank, ModelInputs};
+use tahoe::perfmodel::{predict, ModelInputs};
 use tahoe::strategy::{self, Strategy};
+use tahoe::tune::tune_all;
 use tahoe_datasets::{DatasetSpec, Scale};
 use tahoe_forest::train_for_spec;
 use tahoe_gpu_sim::device::DeviceSpec;
@@ -52,8 +53,8 @@ fn bench_model(c: &mut Criterion) {
         let geo = strategy::geometry(Strategy::SharedData, &ctx).expect("always feasible");
         b.iter(|| predict(Strategy::SharedData, &inputs, &hw, &geo, &device));
     });
-    c.bench_function("model_rank_all", |b| {
-        b.iter(|| rank(&ctx, &inputs, &hw));
+    c.bench_function("model_tune_all", |b| {
+        b.iter(|| tune_all(&ctx, &inputs, &hw));
     });
 }
 

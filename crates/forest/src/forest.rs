@@ -26,8 +26,7 @@ impl Forest {
     ///
     /// # Panics
     ///
-    /// Panics if `trees` is empty or any tree references an attribute
-    /// `>= n_attributes`.
+    /// Panics if [`Forest::validate`] rejects it.
     #[must_use]
     pub fn new(
         trees: Vec<Tree>,
@@ -36,21 +35,42 @@ impl Forest {
         task: Task,
         base_score: f32,
     ) -> Self {
-        assert!(!trees.is_empty(), "a forest needs at least one tree");
-        for (i, t) in trees.iter().enumerate() {
-            for n in t.nodes() {
-                if let Some(a) = n.attribute() {
-                    assert!(a < n_attributes, "tree {i} references attribute {a} out of range");
-                }
-            }
-        }
-        Self {
+        let forest = Self {
             trees,
             n_attributes,
             kind,
             task,
             base_score,
+        };
+        if let Err(e) = forest.validate() {
+            panic!("{e}");
         }
+        forest
+    }
+
+    /// Checks what a deserialized forest cannot promise: at least one tree,
+    /// every tree valid ([`Tree::validate`]), and every attribute index
+    /// below `n_attributes`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first offending tree.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.trees.is_empty() {
+            return Err("a forest needs at least one tree".into());
+        }
+        for (i, t) in self.trees.iter().enumerate() {
+            t.validate().map_err(|e| format!("tree {i}: {e}"))?;
+            if let Some(a) = t
+                .nodes()
+                .iter()
+                .filter_map(|n| n.attribute())
+                .find(|&a| a >= self.n_attributes)
+            {
+                return Err(format!("tree {i} references attribute {a} out of range"));
+            }
+        }
+        Ok(())
     }
 
     /// The trees in ensemble order.

@@ -17,6 +17,8 @@ pub enum IoError {
     Fs(std::io::Error),
     /// Malformed forest file.
     Format(serde_json::Error),
+    /// Well-formed JSON describing an invalid forest ([`Forest::validate`]).
+    Invalid(String),
 }
 
 impl std::fmt::Display for IoError {
@@ -24,6 +26,7 @@ impl std::fmt::Display for IoError {
         match self {
             IoError::Fs(e) => write!(f, "filesystem error: {e}"),
             IoError::Format(e) => write!(f, "forest format error: {e}"),
+            IoError::Invalid(e) => write!(f, "invalid forest: {e}"),
         }
     }
 }
@@ -53,14 +56,18 @@ pub fn save_forest(forest: &Forest, path: &Path) -> Result<(), IoError> {
     Ok(())
 }
 
-/// Loads a forest from JSON.
+/// Loads a forest from JSON and validates it, so a malformed model fails
+/// here rather than in a tree walk.
 ///
 /// # Errors
 ///
-/// Returns [`IoError`] on filesystem or deserialization failure.
+/// Returns [`IoError`] on filesystem or deserialization failure, or
+/// [`IoError::Invalid`] when the forest fails [`Forest::validate`].
 pub fn load_forest(path: &Path) -> Result<Forest, IoError> {
     let file = File::open(path)?;
-    Ok(serde_json::from_reader(BufReader::new(file))?)
+    let forest: Forest = serde_json::from_reader(BufReader::new(file))?;
+    forest.validate().map_err(IoError::Invalid)?;
+    Ok(forest)
 }
 
 #[cfg(test)]
@@ -114,5 +121,57 @@ mod tests {
         let err = load_forest(&path).unwrap_err();
         assert!(matches!(err, IoError::Format(_)));
         std::fs::remove_file(&path).ok();
+    }
+
+    /// Saves the valid test forest, applies one textual corruption to its
+    /// JSON, and loads it back.
+    fn load_corrupted(name: &str, from: &str, to: &str) -> Result<Forest, IoError> {
+        let dir = std::env::temp_dir().join("tahoe_forest_io_corrupt");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("{name}.json"));
+        save_forest(&forest(), &path).unwrap();
+        let json = std::fs::read_to_string(&path).unwrap();
+        assert!(json.contains(from), "{name}: {from} not in {json}");
+        std::fs::write(&path, json.replacen(from, to, 1)).unwrap();
+        let loaded = load_forest(&path);
+        std::fs::remove_file(&path).ok();
+        loaded
+    }
+
+    fn assert_invalid(loaded: Result<Forest, IoError>, message: &str) {
+        match loaded {
+            Err(IoError::Invalid(e)) => assert!(e.contains(message), "{e}"),
+            other => panic!("expected IoError::Invalid({message}), got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn cyclic_tree_is_invalid() {
+        let loaded = load_corrupted("cyclic", "\"left\":1", "\"left\":0");
+        assert_invalid(loaded, "tree 0: child ids must point forward (node 0)");
+    }
+
+    #[test]
+    fn out_of_range_child_is_invalid() {
+        let loaded = load_corrupted("child99", "\"right\":2", "\"right\":99");
+        assert_invalid(loaded, "tree 0: child id out of range (node 0)");
+    }
+
+    #[test]
+    fn out_of_range_attribute_is_invalid() {
+        let loaded = load_corrupted("attr999", "\"attribute\":2", "\"attribute\":999");
+        assert_invalid(loaded, "tree 0 references attribute 999 out of range");
+    }
+
+    #[test]
+    fn left_prob_outside_unit_interval_is_invalid() {
+        let loaded = load_corrupted("prob7", "\"left_prob\":0.8", "\"left_prob\":7.0");
+        assert_invalid(loaded, "tree 0: left_prob 7 outside [0, 1] (node 0)");
+    }
+
+    #[test]
+    fn empty_forest_is_invalid() {
+        let tree = serde_json::to_string(&forest().trees()[0]).unwrap();
+        assert_invalid(load_corrupted("empty", &tree, ""), "a forest needs at least one tree");
     }
 }

@@ -20,23 +20,48 @@ impl Tree {
     ///
     /// # Panics
     ///
-    /// Panics if the arena is empty or a child id does not point forward.
+    /// Panics if [`Tree::validate`] rejects the arena.
     #[must_use]
     pub fn new(nodes: Vec<Node>) -> Self {
-        assert!(!nodes.is_empty(), "a tree needs at least one node");
-        for (i, n) in nodes.iter().enumerate() {
-            if let Some((l, r)) = n.children() {
-                assert!(
-                    (l as usize) > i && (r as usize) > i,
-                    "child ids must point forward (node {i})"
-                );
-                assert!(
-                    (l as usize) < nodes.len() && (r as usize) < nodes.len(),
-                    "child id out of range (node {i})"
-                );
+        let tree = Self { nodes };
+        if let Err(e) = tree.validate() {
+            panic!("{e}");
+        }
+        tree
+    }
+
+    /// Checks the arena invariants every tree walk relies on: at least one
+    /// node, child ids that point forward and stay in range (so every walk
+    /// terminates), and edge probabilities in `[0, 1]`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first offending node.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.nodes.is_empty() {
+            return Err("a tree needs at least one node".into());
+        }
+        for (i, n) in self.nodes.iter().enumerate() {
+            let Node::Decision {
+                left,
+                right,
+                left_prob,
+                ..
+            } = *n
+            else {
+                continue;
+            };
+            if (left as usize) <= i || (right as usize) <= i {
+                return Err(format!("child ids must point forward (node {i})"));
+            }
+            if (left as usize) >= self.nodes.len() || (right as usize) >= self.nodes.len() {
+                return Err(format!("child id out of range (node {i})"));
+            }
+            if !(0.0..=1.0).contains(&left_prob) {
+                return Err(format!("left_prob {left_prob} outside [0, 1] (node {i})"));
             }
         }
-        Self { nodes }
+        Ok(())
     }
 
     /// A tree consisting of a single leaf.
@@ -80,14 +105,7 @@ impl Tree {
     /// A single-leaf tree has depth 0.
     #[must_use]
     pub fn depth(&self) -> usize {
-        self.depth_of(0)
-    }
-
-    fn depth_of(&self, id: NodeId) -> usize {
-        match self.node(id).children() {
-            None => 0,
-            Some((l, r)) => 1 + self.depth_of(l).max(self.depth_of(r)),
-        }
+        self.node_depths().into_iter().max().unwrap_or(0)
     }
 
     /// Depth (edges from the root) of every node.

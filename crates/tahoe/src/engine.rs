@@ -25,7 +25,7 @@ use crate::strategy::common::THREADS_PER_BLOCK;
 use crate::strategy::{self, LaunchContext, Strategy, StrategyRun};
 use crate::telemetry::decision::{DecisionCandidate, DecisionRecord};
 use crate::telemetry::{timeseries, Counter, TelemetryCtx, TelemetrySink, PID_ENGINE};
-use crate::tune;
+use crate::tune::{self, CandidateEval};
 
 /// How the engine picks the device-node encoding (DESIGN.md §2.13).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -428,7 +428,9 @@ impl Engine {
         Ok(buf)
     }
 
-    /// One unsplit batch through model selection and the chosen strategy.
+    /// One unsplit batch through Algorithm 1: gather the model inputs, sweep
+    /// and rank (lines 8–14), select (line 15), launch, record, calibrate,
+    /// advance the clock, predict, and count edges (line 16).
     fn infer_batch(
         &mut self,
         samples: &SampleMatrix,
@@ -447,55 +449,15 @@ impl Engine {
         let inputs = ModelInputs::gather(&self.device_forest, &self.stats, samples);
         let cal_enabled = self.options.calibration;
         let cal = cal_enabled.then_some(&self.calibrator);
-        // Model evaluation: tune each feasible strategy's block size
-        // (Algorithm 1 line 14) and rank the tuned predictions (lines 8-13).
+        // Model evaluation (§7.4's "runtime overhead"): one sweep tunes
+        // every strategy's block size and predicts its cost; selection ranks
+        // it and the decision audit records it.
         let t0 = Instant::now();
-        let tuned = tune::tune_all_with(&ctx, &inputs, &self.hw, cal);
+        let sweep = tune::sweep_candidates(&ctx, &inputs, &self.hw, cal);
+        let tuned = tune::ranked(&sweep);
         let model_eval_ns = t0.elapsed().as_nanos() as u64;
-        let ranked: Vec<Prediction> = tuned.iter().map(|&(_, _, p)| p).collect();
-        // Decision audit (DESIGN.md §2.15): replay the tuner's sweep keeping
-        // rejected candidates and their reasons, under the same calibration
-        // the selection used. Recording-only, and outside the timed section
-        // above, so selection and `model_eval_ns` are untouched when
-        // telemetry is off.
-        let audit_candidates: Option<Vec<DecisionCandidate>> =
-            self.sink.is_enabled().then(|| {
-                let n = samples.n_samples() as f64;
-                tune::sweep_candidates(&ctx, &inputs, &self.hw, cal)
-                    .into_iter()
-                    .map(|c| DecisionCandidate {
-                        strategy: c.strategy.name().to_string(),
-                        block_threads: c.block_threads as u64,
-                        predicted_ns: c.outcome.as_ref().ok().map(|p| p.total() * n),
-                        rejection: c.outcome.err().map(str::to_string),
-                    })
-                    .collect()
-            });
-        let strategy = force.unwrap_or_else(|| {
-            if self.options.model_selection {
-                tuned
-                    .first()
-                    .expect("shared data and direct are always feasible")
-                    .0
-            } else {
-                Strategy::SharedData
-            }
-        });
-        // Launch with the tuned block size (FIL's fixed default when the
-        // model is disabled, matching the baseline).
-        let block_threads = if self.options.model_selection {
-            tuned
-                .iter()
-                .find(|(s, _, _)| *s == strategy)
-                .map_or(THREADS_PER_BLOCK, |&(_, t, _)| t)
-        } else {
-            THREADS_PER_BLOCK
-        };
-        let run_ctx = LaunchContext {
-            block_threads,
-            ..ctx
-        };
-        let run = strategy::run(strategy, &run_ctx)
+        let (strategy, block_threads) = select(&tuned, force, self.options.model_selection);
+        let run = strategy::run(strategy, &LaunchContext { block_threads, ..ctx })
             .unwrap_or_else(|| panic!("strategy {strategy} infeasible for this forest/device"));
         self.sink.add(Counter::EngineBatches, 1);
         // Drift replay (DESIGN.md §2.10): the launch through the §6 model
@@ -514,56 +476,9 @@ impl Engine {
             (raw.total() * n, applied.total() * n)
         });
         if self.sink.is_enabled() {
-            self.sink.name_process(PID_ENGINE, "engine");
-            self.host_span("tune", model_eval_ns as f64);
-            self.sink.span(
-                format!("infer: {} ({} samples)", strategy.name(), samples.n_samples()),
-                PID_ENGINE,
-                1,
-                self.clock_ns,
-                run.kernel.total_ns,
-            );
             let (_, applied_ns) = replay.expect("replayed when the sink records");
-            let drift = DriftRecord::new(
-                strategy.name(),
-                samples.n_samples(),
-                applied_ns,
-                run.kernel.total_ns,
-            );
-            // The decision record joins the sweep to the launch it produced;
-            // its predicted/simulated/error fields are the drift record's,
-            // so the two exports always agree (`tests/decision_schema.rs`).
-            self.sink.push_decision(DecisionRecord {
-                device: 0,
-                batch: self.sink.counter_value(Counter::EngineBatches),
-                n_samples: samples.n_samples() as u64,
-                forced: force.is_some(),
-                chosen_strategy: strategy.name().to_string(),
-                chosen_block_threads: block_threads as u64,
-                predicted_ns: drift.predicted_ns,
-                simulated_ns: drift.simulated_ns,
-                relative_error: drift.relative_error,
-                calibration_generation: self.calibrator.generation(),
-                candidates: audit_candidates.unwrap_or_default(),
-            });
-            self.sink.push_drift(drift);
-            // DRAM footprint gauges at the batch's simulated completion time
-            // (DESIGN.md §2.14), still on the caller thread.
-            let done_ns = self.clock_ns + run.kernel.total_ns;
-            self.sink.ts_gauge(
-                0,
-                timeseries::MEM_IN_USE_BYTES,
-                done_ns,
-                self.mem.in_use_bytes() as f64,
-            );
-            self.sink.ts_gauge(
-                0,
-                timeseries::MEM_HIGH_WATER_BYTES,
-                done_ns,
-                self.mem.high_water_bytes() as f64,
-            );
+            self.record_batch(&sweep, &run, block_threads, force.is_some(), model_eval_ns, applied_ns);
         }
-        self.clock_ns += run.kernel.total_ns;
         // Close the tuning loop (DESIGN.md §2.16): fold this launch's drift
         // observation and refit on cadence. Both inputs derive from the
         // simulated clock, so calibration cannot perturb byte-identity.
@@ -572,6 +487,7 @@ impl Engine {
             self.calibrator.observe(strategy, raw_ns, run.kernel.total_ns);
             self.calibrator.maybe_recalibrate();
         }
+        self.clock_ns += run.kernel.total_ns;
         let predictions = if self.options.functional {
             self.device_forest.predict_batch(samples)
         } else {
@@ -585,12 +501,68 @@ impl Engine {
             predictions,
             strategy,
             run,
-            ranked,
+            ranked: tuned.iter().map(|&(_, _, p)| p).collect(),
             inputs,
             model_eval_ns,
             chunks: 1,
             mem_in_use_bytes: self.mem.in_use_bytes(),
             mem_high_water_bytes: self.mem.high_water_bytes(),
+        }
+    }
+
+    /// Records one launched batch on the live sink, before the clock
+    /// advances: the host `tune` span and the simulated `infer` span, the
+    /// drift record (DESIGN.md §2.10), the decision record with the sweep's
+    /// full ladder (§2.15), and the DRAM gauges at the batch's simulated
+    /// completion (§2.14). `predicted_ns` is the drift replay's applied
+    /// prediction.
+    fn record_batch(
+        &mut self,
+        sweep: &[CandidateEval],
+        run: &StrategyRun,
+        block_threads: usize,
+        forced: bool,
+        model_eval_ns: u64,
+        predicted_ns: f64,
+    ) {
+        let (name, n) = (run.strategy.name(), run.n_samples);
+        self.sink.name_process(PID_ENGINE, "engine");
+        self.host_span("tune", model_eval_ns as f64);
+        let infer_span = format!("infer: {name} ({n} samples)");
+        self.sink.span(infer_span, PID_ENGINE, 1, self.clock_ns, run.kernel.total_ns);
+        let drift = DriftRecord::new(name, n, predicted_ns, run.kernel.total_ns);
+        // The decision record joins the sweep to the launch it produced;
+        // its predicted/simulated/error fields are the drift record's, so
+        // the two exports always agree (`tests/decision_schema.rs`).
+        let candidates = sweep
+            .iter()
+            .map(|c| DecisionCandidate {
+                strategy: c.strategy.name().to_string(),
+                block_threads: c.block_threads as u64,
+                predicted_ns: c.outcome.as_ref().ok().map(|p| p.total() * n as f64),
+                rejection: c.outcome.err().map(str::to_string),
+            })
+            .collect();
+        self.sink.push_decision(DecisionRecord {
+            device: 0,
+            batch: self.sink.counter_value(Counter::EngineBatches),
+            n_samples: n as u64,
+            forced,
+            chosen_strategy: name.to_string(),
+            chosen_block_threads: block_threads as u64,
+            predicted_ns: drift.predicted_ns,
+            simulated_ns: drift.simulated_ns,
+            relative_error: drift.relative_error,
+            calibration_generation: self.calibrator.generation(),
+            candidates,
+        });
+        self.sink.push_drift(drift);
+        let done_ns = self.clock_ns + run.kernel.total_ns;
+        for (series, bytes) in [
+            (timeseries::MEM_IN_USE_BYTES, self.mem.in_use_bytes()),
+            (timeseries::MEM_HIGH_WATER_BYTES, self.mem.high_water_bytes()),
+        ] {
+            self.sink.ts_gauge(0, series, done_ns, bytes as f64);
         }
     }
 
@@ -800,6 +772,25 @@ impl Engine {
     pub fn tuning_cache_len(&self) -> usize {
         0
     }
+}
+
+/// Algorithm 1 line 15: the forced strategy or the cheapest tuned one, at
+/// its tuned block size. With model selection off this is FIL's baseline:
+/// shared data (unless forced) at the fixed default block size.
+fn select(
+    tuned: &[(Strategy, usize, Prediction)],
+    force: Option<Strategy>,
+    model_selection: bool,
+) -> (Strategy, usize) {
+    if !model_selection {
+        return (force.unwrap_or(Strategy::SharedData), THREADS_PER_BLOCK);
+    }
+    let strategy = force.unwrap_or_else(|| {
+        tuned.first().expect("shared data and direct are always feasible").0
+    });
+    let block_threads =
+        tuned.iter().find(|(s, _, _)| *s == strategy).map_or(THREADS_PER_BLOCK, |&(_, t, _)| t);
+    (strategy, block_threads)
 }
 
 /// Bytes a batch's staging buffer needs (row-major f32).

@@ -7,10 +7,13 @@
 //! ladder for each strategy and keeps the cheapest — the grid size follows
 //! from each strategy's geometry (one wave target, occupancy-aware).
 //!
-//! The engine runs the full sweep on every batch. It is a few microseconds
-//! of closed-form model evaluation, well under 1% of a batch's host time
-//! (DESIGN.md §2.16), so no decision is memoized. An optional
-//! [`Calibrator`] rescales every prediction before comparison.
+//! The engine runs one sweep per batch, [`sweep_candidates`]: selection
+//! takes [`ranked`] from it, and the decision audit records the same
+//! candidates, so the audited ladder is exactly what selection compared.
+//! The sweep is a few microseconds of closed-form model evaluation, well
+//! under 1% of a batch's host time (DESIGN.md §2.16), so no decision is
+//! memoized. An optional [`Calibrator`] rescales every prediction before
+//! comparison.
 
 use tahoe_gpu_sim::MeasuredParams;
 
@@ -19,44 +22,6 @@ use crate::strategy::{self, LaunchContext, Strategy};
 
 /// Candidate block sizes (whole warps; clamped to the device limit).
 pub const THREAD_CANDIDATES: [usize; 5] = [64, 128, 256, 512, 1024];
-
-/// The model-predicted best block size for one strategy, with its
-/// prediction. An optional calibrator is applied to every prediction before
-/// comparison, so calibrated corrections can re-order the block-size ladder,
-/// not just rescale the winner.
-///
-/// Returns `None` when the strategy is infeasible on this context.
-#[must_use]
-pub fn tune_strategy(
-    strategy: Strategy,
-    ctx: &LaunchContext<'_>,
-    inputs: &ModelInputs,
-    hw: &MeasuredParams,
-    cal: Option<&Calibrator>,
-) -> Option<(usize, Prediction)> {
-    let mut best: Option<(usize, Prediction)> = None;
-    for &threads in &THREAD_CANDIDATES {
-        if threads > ctx.device.max_threads_per_block as usize {
-            continue;
-        }
-        let candidate = LaunchContext {
-            block_threads: threads,
-            ..*ctx
-        };
-        let Some(geometry) = strategy::geometry(strategy, &candidate) else {
-            continue;
-        };
-        let p = predict(strategy, inputs, hw, &geometry, ctx.device);
-        let p = cal.map_or(p, |c| c.apply(p));
-        if best
-            .as_ref()
-            .is_none_or(|(_, b)| p.total() < b.total())
-        {
-            best = Some((threads, p));
-        }
-    }
-    best
-}
 
 /// One audited sweep entry: a `(strategy, block size)` candidate with its
 /// prediction, or the reason the tuner skipped it.
@@ -70,12 +35,11 @@ pub struct CandidateEval {
     pub outcome: Result<Prediction, &'static str>,
 }
 
-/// Replays the exact sweep [`tune_all`] performs — every strategy crossed
-/// with [`THREAD_CANDIDATES`], in that order — but keeps the rejected
-/// candidates with their reasons instead of dropping them. Feeds the
-/// decision audit (DESIGN.md §2.15); selection stays with `tune_all`, so
-/// this runs only when telemetry is recording. Pass the calibrator the
-/// selection used, so audited predictions match what it compared.
+/// Algorithm 1's search (lines 8–14): every strategy crossed with
+/// [`THREAD_CANDIDATES`], strategy-major and in ladder order, each candidate
+/// predicted by the §6 model under the optional calibrator or rejected with
+/// its reason. [`ranked`] selects from it; the decision audit (DESIGN.md
+/// §2.15) records it as is.
 #[must_use]
 pub fn sweep_candidates(
     ctx: &LaunchContext<'_>,
@@ -107,34 +71,39 @@ pub fn sweep_candidates(
     out
 }
 
-/// Tunes every feasible strategy; returns `(strategy, block size,
-/// prediction)` triples sorted cheapest-first.
+/// Each strategy's cheapest feasible block size from a sweep, strategies
+/// sorted cheapest-first (Algorithm 1 line 15 takes the head). A block size
+/// must be strictly cheaper to displace an earlier one on the ladder, so
+/// ties keep the smaller block. `total_cmp` keeps the sort total even when
+/// a prediction goes non-finite (a poisoned measured constant, a fitted
+/// scale gone wrong): NaN sorts last instead of panicking the engine
+/// mid-batch; the sort is stable, so equal totals keep [`Strategy::ALL`]
+/// order.
+#[must_use]
+pub fn ranked(sweep: &[CandidateEval]) -> Vec<(Strategy, usize, Prediction)> {
+    let mut out: Vec<(Strategy, usize, Prediction)> = Strategy::ALL
+        .into_iter()
+        .filter_map(|s| {
+            sweep
+                .iter()
+                .filter(|c| c.strategy == s)
+                .filter_map(|c| c.outcome.ok().map(|p| (s, c.block_threads, p)))
+                .reduce(|best, next| if next.2.total() < best.2.total() { next } else { best })
+        })
+        .collect();
+    out.sort_by(|a, b| a.2.total().total_cmp(&b.2.total()));
+    out
+}
+
+/// Tunes every feasible strategy, uncalibrated; returns `(strategy, block
+/// size, prediction)` triples sorted cheapest-first.
 #[must_use]
 pub fn tune_all(
     ctx: &LaunchContext<'_>,
     inputs: &ModelInputs,
     hw: &MeasuredParams,
 ) -> Vec<(Strategy, usize, Prediction)> {
-    tune_all_with(ctx, inputs, hw, None)
-}
-
-/// [`tune_all`] under an optional calibrator.
-#[must_use]
-pub fn tune_all_with(
-    ctx: &LaunchContext<'_>,
-    inputs: &ModelInputs,
-    hw: &MeasuredParams,
-    cal: Option<&Calibrator>,
-) -> Vec<(Strategy, usize, Prediction)> {
-    let mut out: Vec<(Strategy, usize, Prediction)> = Strategy::ALL
-        .into_iter()
-        .filter_map(|s| tune_strategy(s, ctx, inputs, hw, cal).map(|(t, p)| (s, t, p)))
-        .collect();
-    // `total_cmp` keeps the sort total even when a prediction goes
-    // non-finite (a poisoned measured constant, a fitted scale gone wrong):
-    // NaN sorts last instead of panicking the engine mid-batch.
-    out.sort_by(|a, b| a.2.total().total_cmp(&b.2.total()));
-    out
+    ranked(&sweep_candidates(ctx, inputs, hw, None))
 }
 
 /// Always `false`: the engine memoizes no tuning decision. Exists only
@@ -172,10 +141,7 @@ mod tests {
     fn tuned_prediction_never_worse_than_default() {
         let (fx, inputs, hw) = setup();
         let ctx = context(&fx, Detail::Sampled(1));
-        for s in Strategy::ALL {
-            let Some((_, tuned)) = tune_strategy(s, &ctx, &inputs, &hw, None) else {
-                continue;
-            };
+        for (s, _, tuned) in tune_all(&ctx, &inputs, &hw) {
             let default_geo = strategy::geometry(s, &ctx).expect("feasible");
             let default = predict(s, &inputs, &hw, &default_geo, ctx.device);
             assert!(
@@ -220,9 +186,6 @@ mod tests {
             tuned[first_nan..].iter().all(|(_, _, p)| p.total().is_nan()),
             "NaN predictions sort last"
         );
-        // The ranked sweep in perfmodel shares the fix.
-        let ranked = crate::perfmodel::rank(&ctx, &inputs, &poisoned);
-        assert!(!ranked.is_empty());
     }
 
     #[test]
@@ -236,7 +199,7 @@ mod tests {
             cal.observe(Strategy::Direct, 100.0, 300.0);
         }
         assert!(cal.maybe_recalibrate());
-        let calibrated = tune_all_with(&ctx, &inputs, &hw, Some(&cal));
+        let calibrated = ranked(&sweep_candidates(&ctx, &inputs, &hw, Some(&cal)));
         let raw_direct = baseline
             .iter()
             .find(|(s, _, _)| *s == Strategy::Direct)
@@ -254,19 +217,20 @@ mod tests {
     }
 
     #[test]
-    fn sweep_covers_the_full_ladder_and_agrees_with_tune_strategy() {
+    fn ranked_takes_each_strategys_cheapest_candidate_from_the_full_ladder() {
         let (fx, inputs, hw) = setup();
         let ctx = context(&fx, Detail::Sampled(1));
         let sweep = sweep_candidates(&ctx, &inputs, &hw, None);
         assert_eq!(sweep.len(), Strategy::ALL.len() * THREAD_CANDIDATES.len());
+        let tuned = ranked(&sweep);
         for s in Strategy::ALL {
             let best = sweep
                 .iter()
                 .filter(|c| c.strategy == s)
                 .filter_map(|c| c.outcome.as_ref().ok().map(|p| (c.block_threads, p)))
                 .min_by(|a, b| a.1.total().total_cmp(&b.1.total()));
-            match tune_strategy(s, &ctx, &inputs, &hw, None) {
-                Some((threads, p)) => {
+            match tuned.iter().find(|(t, _, _)| *t == s) {
+                Some(&(_, threads, p)) => {
                     let (bt, bp) = best.expect("tuned strategy must have feasible candidates");
                     assert_eq!(bt, threads, "{s}");
                     assert_eq!(bp.total().to_bits(), p.total().to_bits(), "{s}");
@@ -274,6 +238,33 @@ mod tests {
                 None => assert!(best.is_none(), "{s}"),
             }
         }
+    }
+
+    #[test]
+    fn ranked_keeps_the_smaller_block_size_on_equal_totals() {
+        let p = |strategy, t_gmem| Prediction {
+            strategy,
+            t_smem: 0.0,
+            t_gmem,
+            t_serial: 0.0,
+            t_b_redu: 0.0,
+            t_g_redu: 0.0,
+        };
+        let eval = |strategy, block_threads, t_gmem| CandidateEval {
+            strategy,
+            block_threads,
+            outcome: Ok(p(strategy, t_gmem)),
+        };
+        let sweep = [
+            eval(Strategy::SharedData, 64, 2.0),
+            eval(Strategy::SharedData, 128, 2.0),
+            eval(Strategy::SharedData, 256, 3.0),
+            eval(Strategy::Direct, 64, 5.0),
+            eval(Strategy::Direct, 128, 1.0),
+            eval(Strategy::Direct, 256, 1.0),
+        ];
+        let tuned: Vec<(Strategy, usize)> = ranked(&sweep).iter().map(|&(s, t, _)| (s, t)).collect();
+        assert_eq!(tuned, [(Strategy::Direct, 128), (Strategy::SharedData, 64)]);
     }
 
     #[test]
@@ -297,13 +288,16 @@ mod tests {
     }
 
     #[test]
-    fn infeasible_strategy_returns_none() {
+    fn infeasible_strategy_is_not_ranked() {
         let (fx, inputs, hw) = setup();
         let mut ctx = context(&fx, Detail::Sampled(1));
         let mut tiny = ctx.device.clone();
         tiny.shared_mem_per_block = 64;
         tiny.shared_mem_per_sm = 64;
         ctx.device = &tiny;
-        assert!(tune_strategy(Strategy::SharedForest, &ctx, &inputs, &hw, None).is_none());
+        let tuned = tune_all(&ctx, &inputs, &hw);
+        assert!(tuned.iter().all(|(s, _, _)| *s != Strategy::SharedForest));
+        // Shared data and direct always remain.
+        assert!(tuned.len() >= 2);
     }
 }

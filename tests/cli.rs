@@ -222,3 +222,27 @@ fn forced_infeasible_strategy_is_rejected() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("direct"));
     std::fs::remove_file(&model).ok();
 }
+
+#[test]
+fn inspect_rejects_a_cyclic_model_without_aborting() {
+    // Node 1 routes back to the root: a walk over this tree never ends.
+    let model = temp_path("cyclic.json");
+    std::fs::write(
+        &model,
+        r#"{"trees":[{"nodes":[
+            {"Decision":{"attribute":0,"threshold":0.5,"default_left":false,"left":1,"right":2,"left_prob":0.5}},
+            {"Decision":{"attribute":1,"threshold":0.5,"default_left":true,"left":0,"right":3,"left_prob":0.5}},
+            {"Leaf":{"value":1}},
+            {"Leaf":{"value":2}}]}],
+        "n_attributes":2,"kind":"Gbdt","task":"Regression","base_score":0}"#,
+    )
+    .unwrap();
+    let out = cli().args(["inspect", "--model", model.to_str().unwrap()]).output().unwrap();
+    assert_eq!(out.status.code(), Some(1), "inspect must exit with an error, not abort");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("invalid forest: tree 0: child ids must point forward (node 1)"),
+        "{stderr}"
+    );
+    std::fs::remove_file(&model).ok();
+}

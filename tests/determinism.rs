@@ -564,12 +564,13 @@ fn tuner_ranking_and_ladder_are_pinned() {
         bytes: &mut [Vec<u8>; 2],
     ) {
         let [ranked, ladder] = bytes;
-        for (s, threads, p) in tune::tune_all_with(ctx, inputs, hw, cal) {
+        let sweep = tune::sweep_candidates(ctx, inputs, hw, cal);
+        for (s, threads, p) in tune::ranked(&sweep) {
             ranked.extend(s.name().as_bytes());
             ranked.extend((threads as u64).to_le_bytes());
             push_prediction(ranked, &p);
         }
-        for c in tune::sweep_candidates(ctx, inputs, hw, cal) {
+        for c in sweep {
             ladder.extend(c.strategy.name().as_bytes());
             ladder.extend((c.block_threads as u64).to_le_bytes());
             match c.outcome {
