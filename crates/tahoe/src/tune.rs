@@ -72,25 +72,24 @@ pub fn sweep_candidates(
 }
 
 /// Each strategy's cheapest feasible block size from a sweep, strategies
-/// sorted cheapest-first (Algorithm 1 line 15 takes the head). A block size
-/// must be strictly cheaper to displace an earlier one on the ladder, so
-/// ties keep the smaller block. `total_cmp` keeps the sort total even when
-/// a prediction goes non-finite (a poisoned measured constant, a fitted
-/// scale gone wrong): NaN sorts last instead of panicking the engine
-/// mid-batch; the sort is stable, so equal totals keep [`Strategy::ALL`]
-/// order.
+/// sorted cheapest-first (Algorithm 1 line 15 takes the head). A candidate
+/// must be strictly cheaper to displace an earlier one of its strategy, so
+/// ties keep the smaller block on the ladder. The sort is stable (equal
+/// totals keep [`Strategy::ALL`] order) and uses `total_cmp`, so it stays
+/// total when a prediction goes non-finite (a poisoned measured constant, a
+/// fitted scale gone wrong): NaN sorts last instead of panicking the engine
+/// mid-batch.
 #[must_use]
 pub fn ranked(sweep: &[CandidateEval]) -> Vec<(Strategy, usize, Prediction)> {
-    let mut out: Vec<(Strategy, usize, Prediction)> = Strategy::ALL
-        .into_iter()
-        .filter_map(|s| {
-            sweep
-                .iter()
-                .filter(|c| c.strategy == s)
-                .filter_map(|c| c.outcome.ok().map(|p| (s, c.block_threads, p)))
-                .reduce(|best, next| if next.2.total() < best.2.total() { next } else { best })
-        })
-        .collect();
+    let mut out: Vec<(Strategy, usize, Prediction)> = Vec::with_capacity(Strategy::ALL.len());
+    for c in sweep {
+        let Ok(p) = c.outcome else { continue };
+        match out.iter_mut().find(|(s, _, _)| *s == c.strategy) {
+            Some(best) if p.total() < best.2.total() => *best = (c.strategy, c.block_threads, p),
+            Some(_) => {}
+            None => out.push((c.strategy, c.block_threads, p)),
+        }
+    }
     out.sort_by(|a, b| a.2.total().total_cmp(&b.2.total()));
     out
 }
